@@ -70,9 +70,11 @@ class HardwareProfile:
             raise ValueError(
                 f"source_efficiency must be <= 1, got {self.source_efficiency}"
             )
-        if self.cooling_overhead < 1.0:
+        if not (math.isfinite(self.cooling_overhead)
+                and self.cooling_overhead >= 1.0):
             raise ValueError(
-                f"cooling_overhead must be >= 1, got {self.cooling_overhead}"
+                "cooling_overhead must be finite and >= 1, "
+                f"got {self.cooling_overhead}"
             )
 
     @classmethod

@@ -8,6 +8,7 @@ single oscillation can bind together.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .constants import VELOCITY_CEILING
@@ -49,9 +50,11 @@ class Platform:
                 f"signal_velocity must be in (0, {VELOCITY_CEILING}] m/s, "
                 f"got {self.signal_velocity}"
             )
-        if self.element_width <= 0.0:
+        if not (math.isfinite(self.element_width)
+                and self.element_width > 0.0):
             raise ValueError(
-                f"element_width must be > 0, got {self.element_width}"
+                "element_width must be finite and > 0, "
+                f"got {self.element_width}"
             )
         if self.element_kind not in _ELEMENT_KINDS:
             raise ValueError(
@@ -68,8 +71,10 @@ class PoolQuery:
     dimension: int = 2
 
     def __post_init__(self):
-        if self.frequency <= 0.0:
-            raise ValueError(f"frequency must be > 0, got {self.frequency}")
+        if not (math.isfinite(self.frequency) and self.frequency > 0.0):
+            raise ValueError(
+                f"frequency must be finite and > 0, got {self.frequency}"
+            )
         if self.dimension not in (1, 2, 3):
             raise ValueError(
                 f"dimension must be 1, 2 or 3, got {self.dimension}"
@@ -162,7 +167,10 @@ def is_integrable(platform: Platform, separation: float, frequency: float,
 def describe_pool(platform: Platform, query: PoolQuery,
                   round_trip: bool = False) -> PoolResult:
     """Diameter, population and (when planar) area for one query."""
-    d = pool_diameter(platform, query.frequency, round_trip)
-    population = (d / platform.element_width) ** query.dimension
-    area = d * d if query.dimension == 2 else None
-    return PoolResult(diameter=d, population=population, area=area)
+    area = (pool_area(platform, query.frequency, round_trip)
+            if query.dimension == 2 else None)
+    return PoolResult(
+        diameter=pool_diameter(platform, query.frequency, round_trip),
+        population=pool_population(platform, query, round_trip),
+        area=area,
+    )

@@ -1,8 +1,11 @@
 import math
 
+import networkx as nx
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lightcone import (
     DisconnectedGraphError,
@@ -18,6 +21,11 @@ from lightcone import (
     sample_graph,
     sample_powerlaw_degrees,
 )
+from lightcone.graphs import _bfs_distance_sums
+from pathlen_reference import (
+    reference_distance_sums,
+    reference_measure_avg_path_length,
+)
 
 
 def graph_from_edges(n, edges):
@@ -26,6 +34,41 @@ def graph_from_edges(n, edges):
     cols = [j for _, j in edges] + [i for i, _ in edges]
     adj = sp.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
     return SampledGraph(n_nodes=n, adjacency=adj, seed=0)
+
+
+# Source counts around the 64-bit word and the 256-source chunk.
+SOURCE_COUNTS = (1, 63, 64, 65, 256, 257)
+
+
+@st.composite
+def graphs_with_isolated_nodes(draw):
+    """Small random graphs; some nodes, often the last one, have no edges."""
+    n = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    isolated = set(draw(st.lists(st.integers(0, n - 1), max_size=n)))
+    if draw(st.booleans()):
+        isolated.add(n - 1)
+    density = draw(st.floats(0.0, 1.0))
+    edges = [(i, j) for i in range(n) for j in range(i + 1, n)
+             if i not in isolated and j not in isolated
+             and rng.random() < density]
+    return graph_from_edges(n, edges), edges, rng
+
+
+@st.composite
+def mostly_connected_graphs(draw):
+    """A random connected core plus at most a ninth as many isolated nodes."""
+    core = draw(st.integers(2, 300))
+    n = core + draw(st.integers(0, core // 9))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    label = rng.permutation(n)
+    if draw(st.booleans()):  # make the last node one of the isolated ones
+        label = np.append(label[label != n - 1], n - 1)
+    tree = [(int(rng.integers(i)), i) for i in range(1, core)]
+    extra = rng.integers(0, core, size=(draw(st.integers(0, 3 * core)), 2))
+    edges = {(int(min(label[a], label[b])), int(max(label[a], label[b])))
+             for a, b in tree + [tuple(e) for e in extra] if a != b}
+    return graph_from_edges(n, sorted(edges))
 
 
 def quadrature_mean_degree(dist, n_total, points=200_001):
@@ -296,6 +339,53 @@ class TestMeasureAvgPathLength:
             measure_avg_path_length(graph_from_edges(6, edges))
         assert info.value.coverage == pytest.approx(0.5)
         assert sorted(info.value.component_sizes, reverse=True)[0] == 3
+
+    @settings(max_examples=150, deadline=None)
+    @given(graphs_with_isolated_nodes(),
+           st.sampled_from(SOURCE_COUNTS + ("all",)))
+    def test_bfs_sums_match_dijkstra_and_networkx(self, drawn, count):
+        graph, edges, rng = drawn
+        n = graph.n_nodes
+        sources = (np.arange(n) if count == "all"
+                   else rng.integers(0, n, size=count))
+        sums = _bfs_distance_sums(graph.adjacency, sources)
+        assert sums.dtype == np.int64
+        np.testing.assert_array_equal(
+            sums, reference_distance_sums(graph.adjacency, sources))
+        nx_graph = nx.Graph(edges)
+        nx_graph.add_nodes_from(range(n))
+        nx_sums = {s: sum(nx.single_source_shortest_path_length(nx_graph, s)
+                          .values()) for s in set(sources.tolist())}
+        assert sums.tolist() == [nx_sums[s] for s in sources.tolist()]
+
+    @settings(max_examples=60, deadline=None)
+    @given(mostly_connected_graphs(),
+           st.sampled_from((2,) + SOURCE_COUNTS[1:] + ("all", None)))
+    def test_matches_frozen_dijkstra_routine(self, graph, source_sample):
+        assert measure_avg_path_length(graph, source_sample) == (
+            reference_measure_avg_path_length(graph, source_sample))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_criterion_graphs_match_frozen_routine_bit_for_bit(self, seed):
+        n = 10**4
+        graph = sample_graph(RandomGaussian(n_total=n, avg_path_length=2.5),
+                             n, seed=seed)
+        result = measure_avg_path_length(graph, source_sample=256)
+        reference = reference_measure_avg_path_length(graph, source_sample=256)
+        assert result.mean == reference.mean
+        assert result == reference
+
+    @pytest.mark.parametrize("source_sample",
+                             [True, False, 2.7, 64.0, "al", math.nan, 1, 0, -5])
+    def test_rejects_bad_source_sample(self, source_sample):
+        graph = graph_from_edges(3, [(0, 1), (1, 2)])
+        with pytest.raises(ValueError, match="source_sample"):
+            measure_avg_path_length(graph, source_sample=source_sample)
+
+    def test_accepts_numpy_integer_source_sample(self):
+        graph = graph_from_edges(4, [(0, 1), (1, 2), (2, 3)])
+        assert measure_avg_path_length(graph, np.int64(3)) == (
+            measure_avg_path_length(graph, 3))
 
     def test_sampled_estimate_reports_stderr(self):
         dist = RandomGaussian(n_total=4000, avg_path_length=2.0)

@@ -1,3 +1,6 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
@@ -213,6 +216,11 @@ class TestProfileValidation:
                 wavelength=1.5e-6, photons_per_synapse_event=10,
                 source_efficiency=1.5, cooling_overhead=1000.0,
             )
+
+    @pytest.mark.parametrize("cooling", [math.nan, math.inf])
+    def test_nonfinite_cooling_rejected(self, cooling):
+        with pytest.raises(ValueError, match="cooling_overhead"):
+            dataclasses.replace(WAFER, cooling_overhead=cooling)
 
     def test_cooling_below_one_rejected(self):
         with pytest.raises(ValueError):

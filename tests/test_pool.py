@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -37,6 +39,11 @@ class TestPlatformValidation:
         with pytest.raises(ValueError):
             Platform(signal_velocity=1.0, element_width=0.0)
 
+    @pytest.mark.parametrize("width", [math.nan, math.inf])
+    def test_nonfinite_width_rejected(self, width):
+        with pytest.raises(ValueError, match="element_width"):
+            Platform(signal_velocity=1.0, element_width=width)
+
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             Platform(signal_velocity=1.0, element_width=1.0,
@@ -47,6 +54,11 @@ class TestPlatformValidation:
             PoolQuery(frequency=0.0)
         with pytest.raises(ValueError):
             PoolQuery(frequency=1.0, dimension=4)
+
+    @pytest.mark.parametrize("frequency", [math.inf, math.nan])
+    def test_nonfinite_frequency_rejected(self, frequency):
+        with pytest.raises(ValueError, match="frequency"):
+            PoolQuery(frequency=frequency)
 
 
 class TestPoolDiameter:
