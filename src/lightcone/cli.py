@@ -3,7 +3,8 @@
 Subcommands: degree, pool, area, power, simulate, sweep, paper-check.
 Numeric output uses scientific notation with six significant digits;
 units appear in headers only. Exit codes: 0 success, 1 check failure,
-2 usage or input error.
+2 usage or input error, including a simulation that exceeds its event
+budget (``max_events``).
 """
 from __future__ import annotations
 
@@ -18,10 +19,11 @@ from .config import (
     ExperimentConfig,
     build_hardware_profile,
     build_sim_config,
+    build_sweep,
     load_experiment_config,
 )
 from .constants import EARTH_SURFACE_AREA, SPEED_OF_LIGHT, THETA_BAND_HZ
-from .errors import ConfigError
+from .errors import ConfigError, EventQueueOverflowError
 from .golden import all_passed, run_golden_checks
 from .graphs import PowerLaw, avg_degree_random, powerlaw_max_degree, powerlaw_mean_degree
 from .hardware import (
@@ -215,11 +217,7 @@ def _require_config(args) -> ExperimentConfig:
 def cmd_simulate(args) -> int:
     config = build_sim_config(_require_config(args), seed_override=args.seed)
     trace = run(config)
-    report = synchrony_metrics(
-        trace,
-        window=min(10 * config.natural_period, config.duration),
-        lock_threshold=config.lock_threshold,
-    )
+    report = synchrony_metrics(trace, lock_threshold=config.lock_threshold)
     print(f"nodes: {config.n_nodes}")
     print(f"duration_s: {sci(config.duration)}")
     print(f"spikes: {len(trace.times)}")
@@ -243,21 +241,10 @@ def cmd_simulate(args) -> int:
 def cmd_sweep(args) -> int:
     config = _require_config(args)
     base = build_sim_config(config, seed_override=args.seed)
-    section = config.sweep
-    diameters_over_vt = section.get(
-        "diameters_over_vt",
-        _parse_floats(args.diameters, "--diameters") if args.diameters else None,
-    )
-    if args.diameters is not None:
-        diameters_over_vt = _parse_floats(args.diameters, "--diameters")
-    if not diameters_over_vt:
-        raise ConfigError(
-            'give --diameters or a "sweep" section with diameters_over_vt'
-        )
-    seeds = section.get("seeds", list(range(args.n_seeds)))
-    vt = base.signal_velocity * base.natural_period
-    result = pool_sweep(base, [d * vt for d in diameters_over_vt],
-                        [int(s) for s in seeds])
+    override = (_parse_floats(args.diameters, "--diameters")
+                if args.diameters is not None else None)
+    diameters, seeds = build_sweep(config, base, override, args.n_seeds)
+    result = pool_sweep(base, diameters, seeds)
     rows = [[row.diameter_over_vt, row.mean_order_parameter, row.stderr]
             for row in result.rows]
     _emit(args, ["diameter_over_vT", "mean_order_parameter", "stderr"],
@@ -402,7 +389,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ValueError) as exc:
+    except (ValueError, EventQueueOverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -1,71 +1,58 @@
 """Experiment configuration files: a schema-versioned JSON document.
 
 All quantities are SI. Unknown top-level sections and unknown keys inside
-a section are rejected rather than ignored, so typos fail loudly.
+a section are rejected rather than ignored, so typos fail loudly. Every
+number is read through ``_number`` or ``_integer``, which reject wrongly
+typed values with a ConfigError naming ``section.key``.
 """
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import math
+from contextlib import suppress
+from dataclasses import dataclass, field, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError
 from .hardware import HardwareProfile
-from .sim import (
-    DEFAULT_COUPLING,
-    DEFAULT_LOCK_THRESHOLD,
-    DEFAULT_MAX_EVENTS,
-    DEFAULT_REFRACTORY,
-    SimConfig,
-)
+from .sim import SimConfig
 
 SCHEMA_VERSION = 1
 
+# JSON key -> HardwareProfile field; each key overrides the wafer profile.
+_HARDWARE_FIELDS = {
+    "synapse_area_m2": "synapse_area",
+    "neuron_base_area_m2": "neuron_base_area",
+    "routing_overhead_fraction": "routing_overhead_fraction",
+    "wafer_diameter_m": "wafer_diameter",
+    "wavelength_m": "wavelength",
+    "photons_per_synapse_event": "photons_per_synapse_event",
+    "source_efficiency": "source_efficiency",
+    "cooling_overhead": "cooling_overhead",
+}
+
+# JSON key -> SimConfig field for the simulation section's plain numbers;
+# an absent optional key takes SimConfig's default.
+_SIM_NUMBERS = {
+    "signal_velocity_m_per_s": "signal_velocity",
+    "natural_period_s": "natural_period",
+    "duration_s": "duration",
+    "coupling_strength": "coupling_strength",
+    "refractory_fraction": "refractory_fraction",
+    "lock_threshold": "lock_threshold",
+}
+_SIM_REQUIRED = ("signal_velocity_m_per_s", "natural_period_s", "duration_s")
+
 _SECTION_KEYS = {
-    "hardware": {
-        "synapse_area_m2",
-        "neuron_base_area_m2",
-        "routing_overhead_fraction",
-        "wafer_diameter_m",
-        "wavelength_m",
-        "photons_per_synapse_event",
-        "source_efficiency",
-        "cooling_overhead",
-    },
-    "simulation": {
-        "n_nodes",
-        "side_m",
-        "positions_m",
-        "signal_velocity_m_per_s",
-        "natural_period_s",
-        "coupling_strength",
-        "refractory_fraction",
-        "initial_phases_s",
-        "duration_s",
-        "seed",
-        "lock_threshold",
+    "hardware": set(_HARDWARE_FIELDS),
+    "simulation": set(_SIM_NUMBERS) | {
+        "n_nodes", "side_m", "positions_m", "initial_phases_s", "seed",
         "max_events",
     },
-    "sweep": {
-        "diameters_over_vt",
-        "seeds",
-    },
-    "pool": {
-        "signal_velocity_m_per_s",
-        "element_width_m",
-        "element_kind",
-        "dimension",
-        "frequencies_hz",
-    },
-    "graph": {
-        "n_values",
-        "path_lengths",
-        "alphas",
-        "k_min",
-        "k_max",
-    },
+    "sweep": {"diameters_over_vt", "seeds"},
 }
 _TOP_KEYS = {"schema_version"} | set(_SECTION_KEYS)
 
@@ -78,8 +65,31 @@ class ExperimentConfig:
     hardware: dict = field(default_factory=dict)
     simulation: dict = field(default_factory=dict)
     sweep: dict = field(default_factory=dict)
-    pool: dict = field(default_factory=dict)
-    graph: dict = field(default_factory=dict)
+
+
+def _number(value, name: str) -> float:
+    """A JSON number as a finite float; ``name`` is its ``section.key``."""
+    if not isinstance(value, bool) and isinstance(value, (int, float)):
+        with suppress(OverflowError):  # an integer beyond the float range
+            if math.isfinite(value):
+                return float(value)
+    raise ConfigError(f"{name} must be a finite number, got {value!r}")
+
+
+def _integer(value, name: str, minimum: int = 0) -> int:
+    """A JSON integer no smaller than ``minimum``; ``name`` as above."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise ConfigError(
+            f"{name} must be an integer >= {minimum}, got {value!r}"
+        )
+    return value
+
+
+def _each(read, value, name: str) -> list:
+    """Apply a reader to every item of a JSON list."""
+    if not isinstance(value, list):
+        raise ConfigError(f"{name} must be a JSON list, got {value!r}")
+    return [read(item, f"{name}[{i}]") for i, item in enumerate(value)]
 
 
 def load_experiment_config(path: str | Path) -> ExperimentConfig:
@@ -101,7 +111,7 @@ def load_experiment_config(path: str | Path) -> ExperimentConfig:
             f"allowed: {sorted(_TOP_KEYS)}"
         )
     version = raw.get("schema_version")
-    if version != SCHEMA_VERSION:
+    if isinstance(version, bool) or version != SCHEMA_VERSION:
         raise ConfigError(
             f"schema_version must be {SCHEMA_VERSION}, got {version!r}"
         )
@@ -122,28 +132,10 @@ def load_experiment_config(path: str | Path) -> ExperimentConfig:
 
 def build_hardware_profile(config: ExperimentConfig) -> HardwareProfile:
     """Hardware profile from the config, defaulting to the wafer profile."""
-    base = HardwareProfile.wafer_300mm()
-    section = config.hardware
-    return HardwareProfile(
-        synapse_area=section.get("synapse_area_m2", base.synapse_area),
-        neuron_base_area=section.get(
-            "neuron_base_area_m2", base.neuron_base_area
-        ),
-        routing_overhead_fraction=section.get(
-            "routing_overhead_fraction", base.routing_overhead_fraction
-        ),
-        wafer_diameter=section.get("wafer_diameter_m", base.wafer_diameter),
-        wavelength=section.get("wavelength_m", base.wavelength),
-        photons_per_synapse_event=section.get(
-            "photons_per_synapse_event", base.photons_per_synapse_event
-        ),
-        source_efficiency=section.get(
-            "source_efficiency", base.source_efficiency
-        ),
-        cooling_overhead=section.get(
-            "cooling_overhead", base.cooling_overhead
-        ),
-    )
+    overrides = {name: _number(config.hardware[key], f"hardware.{key}")
+                 for key, name in _HARDWARE_FIELDS.items()
+                 if key in config.hardware}
+    return replace(HardwareProfile.wafer_300mm(), **overrides)
 
 
 def build_sim_config(config: ExperimentConfig,
@@ -157,18 +149,28 @@ def build_sim_config(config: ExperimentConfig,
     section = config.simulation
     if not section:
         raise ConfigError('config has no "simulation" section')
-    for key in ("signal_velocity_m_per_s", "natural_period_s", "duration_s"):
+    for key in _SIM_REQUIRED:
         if key not in section:
             raise ConfigError(f'simulation section is missing "{key}"')
-    seed = seed_override if seed_override is not None else section.get("seed", 0)
+    numbers = {name: _number(section[key], f"simulation.{key}")
+               for key, name in _SIM_NUMBERS.items() if key in section}
+    if "max_events" in section:
+        numbers["max_events"] = _integer(section["max_events"],
+                                         "simulation.max_events", minimum=1)
+    seed = _integer(section.get("seed", 0), "simulation.seed")
+    if seed_override is not None:
+        seed = seed_override
     if "positions_m" in section:
-        positions = np.asarray(section["positions_m"], dtype=float)
+        positions = np.asarray(_each(partial(_each, _number),
+                                     section["positions_m"],
+                                     "simulation.positions_m"))
     elif "n_nodes" in section and "side_m" in section:
+        n_nodes = _integer(section["n_nodes"], "simulation.n_nodes", minimum=1)
+        side = _number(section["side_m"], "simulation.side_m")
+        if side <= 0.0:
+            raise ConfigError(f"simulation.side_m must be > 0, got {side}")
         rng = np.random.default_rng(seed)
-        positions = rng.uniform(
-            0.0, float(section["side_m"]),
-            size=(int(section["n_nodes"]), 2),
-        )
+        positions = rng.uniform(0.0, side, size=(n_nodes, 2))
     else:
         raise ConfigError(
             'simulation section needs "positions_m" or both '
@@ -176,25 +178,35 @@ def build_sim_config(config: ExperimentConfig,
         )
     phases = section.get("initial_phases_s")
     if phases is not None:
-        phases = np.asarray(phases, dtype=float)
+        phases = np.asarray(_each(_number, phases,
+                                  "simulation.initial_phases_s"))
     try:
-        return SimConfig(
-            positions=positions,
-            signal_velocity=float(section["signal_velocity_m_per_s"]),
-            natural_period=float(section["natural_period_s"]),
-            duration=float(section["duration_s"]),
-            coupling_strength=float(
-                section.get("coupling_strength", DEFAULT_COUPLING)
-            ),
-            refractory_fraction=float(
-                section.get("refractory_fraction", DEFAULT_REFRACTORY)
-            ),
-            initial_phases=phases,
-            seed=int(seed),
-            lock_threshold=float(
-                section.get("lock_threshold", DEFAULT_LOCK_THRESHOLD)
-            ),
-            max_events=int(section.get("max_events", DEFAULT_MAX_EVENTS)),
-        )
+        return SimConfig(positions=positions, initial_phases=phases,
+                         seed=seed, **numbers)
     except ValueError as exc:
         raise ConfigError(f"invalid simulation parameters: {exc}") from exc
+
+
+def build_sweep(config: ExperimentConfig, base: SimConfig,
+                diameters_over_vt: list[float] | None,
+                n_seeds: int) -> tuple[list[float], list[int]]:
+    """Pool diameters in metres and integer seeds for ``pool_sweep``.
+
+    ``diameters_over_vt``, when given, replaces the ``sweep`` section's
+    list of the same name; both are in units of v*T of ``base``. Seeds
+    default to ``range(n_seeds)`` when the section has none.
+    """
+    section = config.sweep
+    if diameters_over_vt is None:
+        diameters_over_vt = _each(_number, section.get("diameters_over_vt", []),
+                                  "sweep.diameters_over_vt")
+    if not diameters_over_vt:
+        raise ConfigError(
+            'give --diameters or a "sweep" section with diameters_over_vt'
+        )
+    if "seeds" in section:
+        seeds = _each(_integer, section["seeds"], "sweep.seeds")
+    else:
+        seeds = list(range(n_seeds))
+    vt = base.signal_velocity * base.natural_period
+    return [d * vt for d in diameters_over_vt], seeds

@@ -168,11 +168,16 @@ def path_length_random(n_total: float, avg_degree: float) -> float:
     return (math.log(n_total) - EULER_GAMMA) / (math.log(avg_degree) - 0.5)
 
 
+def _natural_cutoff(dist: PowerLaw, n_total: float) -> float:
+    """k_min * n**(1/(alpha-1)), the degree expected once among n nodes."""
+    return dist.k_min * float(n_total) ** (1.0 / (dist.alpha - 1.0))
+
+
 def powerlaw_cutoff(dist: PowerLaw, n_total: float) -> float:
     """Upper degree cutoff: explicit if set, else the natural cutoff."""
     if dist.k_max is not None:
         return float(dist.k_max)
-    return dist.k_min * float(n_total) ** (1.0 / (dist.alpha - 1.0))
+    return _natural_cutoff(dist, n_total)
 
 
 def powerlaw_mean_degree(dist: PowerLaw, n_total: float) -> float:
@@ -200,15 +205,12 @@ def powerlaw_mean_degree(dist: PowerLaw, n_total: float) -> float:
 def powerlaw_max_degree(dist: PowerLaw, n_total: float) -> float:
     """Expected maximum degree among n_total nodes.
 
-    The natural cutoff k_min * n**(1/(alpha-1)) leaves one node expected
-    beyond it; an explicit truncation can only lower the maximum.
+    The natural cutoff leaves one node expected beyond it; an explicit
+    truncation can only lower the maximum.
     """
     if n_total < 2:
         raise ValueError(f"n_total must be >= 2, got {n_total}")
-    natural = dist.k_min * float(n_total) ** (1.0 / (dist.alpha - 1.0))
-    if dist.k_max is not None:
-        return min(float(dist.k_max), natural)
-    return natural
+    return min(powerlaw_cutoff(dist, n_total), _natural_cutoff(dist, n_total))
 
 
 def sample_powerlaw_degrees(dist: PowerLaw, n_total: int,

@@ -167,6 +167,12 @@ def network_area(n_total: float, dist, profile: HardwareProfile) -> float:
     return n_total * node_area(mean_degree(dist, n_total), profile)
 
 
+def _pulse_energy(degree: float, profile: HardwareProfile) -> float:
+    """Drawn energy of one firing that reaches ``degree`` synapses."""
+    return (degree * profile.photons_per_synapse_event
+            * photon_energy(profile.wavelength) / profile.source_efficiency)
+
+
 def neuron_power(degree: float, frequency: float,
                  profile: HardwareProfile) -> PowerReport:
     """Communication power of one node firing at ``frequency``.
@@ -180,8 +186,7 @@ def neuron_power(degree: float, frequency: float,
         raise ValueError(f"degree must be >= 1, got {degree}")
     if frequency <= 0.0:
         raise ValueError(f"frequency must be > 0, got {frequency}")
-    pulse = (degree * profile.photons_per_synapse_event
-             * photon_energy(profile.wavelength) / profile.source_efficiency)
+    pulse = _pulse_energy(degree, profile)
     device = pulse * frequency
     wall = device * profile.cooling_overhead
     density = device / node_area(degree, profile)
@@ -204,9 +209,7 @@ def system_power_density(n_total: float, dist, mean_rate: float,
     k = mean_degree(dist, n_total)
     if k <= 0.0:
         raise ValueError("mean degree must be > 0 for a power estimate")
-    per_node = (k * profile.photons_per_synapse_event
-                * photon_energy(profile.wavelength)
-                / profile.source_efficiency) * mean_rate
+    per_node = _pulse_energy(k, profile) * mean_rate
     area = network_area(n_total, dist, profile)
     if area <= 0.0:
         raise ValueError("network area must be > 0")

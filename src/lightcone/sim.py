@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple, Union
 
 import numpy as np
@@ -99,14 +99,10 @@ class SimConfig:
         if not np.all(np.isfinite(pos)):
             raise ValueError("positions must be finite")
         object.__setattr__(self, "positions", pos)
-        if self.signal_velocity <= 0.0:
-            raise ValueError(
-                f"signal_velocity must be > 0, got {self.signal_velocity}"
-            )
-        if self.natural_period <= 0.0:
-            raise ValueError(
-                f"natural_period must be > 0, got {self.natural_period}"
-            )
+        for name in ("signal_velocity", "natural_period", "duration"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise ValueError(f"{name} must be finite and > 0, got {value}")
         if self.duration < self.natural_period:
             raise ValueError(
                 f"duration ({self.duration}) must be >= one natural period "
@@ -126,8 +122,12 @@ class SimConfig:
             raise ValueError(
                 f"lock_threshold must be in (0, 1], got {self.lock_threshold}"
             )
-        if self.max_events < 1:
-            raise ValueError(f"max_events must be >= 1, got {self.max_events}")
+        if (isinstance(self.max_events, bool)
+                or not isinstance(self.max_events, (int, np.integer))
+                or self.max_events < 1):
+            raise ValueError(
+                f"max_events must be an integer >= 1, got {self.max_events!r}"
+            )
         n = pos.shape[0]
         if self.initial_phases is not None:
             phases = np.asarray(self.initial_phases, dtype=float)
@@ -362,9 +362,10 @@ def synchrony_metrics(trace: SpikeTrace, period: float | None = None,
 
     The order parameter is the magnitude of the circular mean of fire
     times modulo ``period`` (defaults: the trace's natural period; a
-    window of ten periods). ``convergence_time`` is the start of the
-    earliest period from which every subsequent one-period window stays
-    at or above the lock threshold, or None if none does.
+    window of ten periods, or the whole trace when it is shorter).
+    ``convergence_time`` is the start of the earliest period from which
+    every subsequent one-period window stays at or above the lock
+    threshold, or None if none does.
 
     Raises ValueError when the window exceeds the trace duration or
     contains no spikes.
@@ -374,7 +375,7 @@ def synchrony_metrics(trace: SpikeTrace, period: float | None = None,
     if period <= 0.0:
         raise ValueError(f"period must be > 0, got {period}")
     if window is None:
-        window = DEFAULT_ANALYSIS_PERIODS * period
+        window = min(DEFAULT_ANALYSIS_PERIODS * period, trace.duration)
     if window <= 0.0 or window > trace.duration:
         raise ValueError(
             f"window must lie in (0, duration={trace.duration}], got {window}"
@@ -436,7 +437,6 @@ def pool_sweep(base: SimConfig, diameters: list[float],
     n = base.n_nodes
     T = base.natural_period
     vt = base.signal_velocity * T
-    window = min(DEFAULT_ANALYSIS_PERIODS * T, base.duration)
 
     placements = {}
     for seed in seeds:
@@ -452,21 +452,10 @@ def pool_sweep(base: SimConfig, diameters: list[float],
         values = []
         for seed in seeds:
             unit, phases = placements[seed]
-            config = SimConfig(
-                positions=unit * diameter,
-                signal_velocity=base.signal_velocity,
-                natural_period=T,
-                duration=base.duration,
-                coupling_strength=base.coupling_strength,
-                refractory_fraction=base.refractory_fraction,
-                initial_phases=phases,
-                seed=seed,
-                topology=base.topology,
-                lock_threshold=base.lock_threshold,
-                max_events=base.max_events,
-            )
+            config = replace(base, positions=unit * diameter,
+                             initial_phases=phases, seed=seed)
             trace = run(config)
-            report = synchrony_metrics(trace, period=T, window=window,
+            report = synchrony_metrics(trace,
                                        lock_threshold=base.lock_threshold)
             values.append(report.order_parameter)
         arr = np.asarray(values)

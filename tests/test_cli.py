@@ -196,3 +196,25 @@ def test_degree_csv_round_trip_via_out_dir(tmp_path: Path):
         assert row[0] == str(int(row[0]))
         reformatted = f"{float(row[2]):.5e}"
         assert reformatted == row[2]
+
+
+def run_with_simulation(tmp_path: Path, command: str, **simulation):
+    payload = json.loads(json.dumps(SIM_CONFIG))
+    payload["simulation"].update(simulation)
+    config_path = tmp_path / "sim.json"
+    config_path.write_text(json.dumps(payload))
+    return run_cli(command, "--config", str(config_path), "--format", "csv")
+
+
+def test_fractional_seed_is_clean_input_error(tmp_path: Path):
+    result = run_with_simulation(tmp_path, "simulate", seed=1.5)
+    assert result.returncode == 2
+    assert "simulation.seed" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
+def test_event_budget_overflow_is_clean_input_error(tmp_path: Path):
+    result = run_with_simulation(tmp_path, "simulate", max_events=5)
+    assert result.returncode == 2
+    assert result.stderr.startswith("error: event queue exceeded 5 events")
+    assert "Traceback" not in result.stderr

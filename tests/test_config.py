@@ -8,6 +8,7 @@ from lightcone.config import (
     SCHEMA_VERSION,
     build_hardware_profile,
     build_sim_config,
+    build_sweep,
     load_experiment_config,
 )
 
@@ -38,7 +39,7 @@ class TestLoading:
         config = load_experiment_config(write_config(tmp_path, VALID))
         assert config.schema_version == SCHEMA_VERSION
         assert config.simulation["n_nodes"] == 8
-        assert config.pool == {}
+        assert config.sweep == VALID["sweep"]
 
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
@@ -63,6 +64,17 @@ class TestLoading:
     def test_unknown_top_level_key_rejected(self, tmp_path):
         payload = dict(VALID, extra_section={})
         with pytest.raises(ConfigError, match="unknown top-level"):
+            load_experiment_config(write_config(tmp_path, payload))
+
+    @pytest.mark.parametrize("section", ["pool", "graph"])
+    def test_removed_sections_rejected_as_unknown(self, tmp_path, section):
+        payload = dict(VALID, **{section: {}})
+        with pytest.raises(ConfigError, match="unknown top-level"):
+            load_experiment_config(write_config(tmp_path, payload))
+
+    def test_boolean_schema_version_rejected(self, tmp_path):
+        payload = dict(VALID, schema_version=True)
+        with pytest.raises(ConfigError, match="schema_version"):
             load_experiment_config(write_config(tmp_path, payload))
 
     def test_unknown_nested_key_rejected(self, tmp_path):
@@ -123,3 +135,92 @@ class TestBuilders:
         config = load_experiment_config(write_config(tmp_path, payload))
         with pytest.raises(ConfigError, match="invalid simulation"):
             build_sim_config(config)
+
+
+def load_with(tmp_path, section, key, value):
+    payload = json.loads(json.dumps(VALID))
+    payload[section][key] = value
+    return load_experiment_config(write_config(tmp_path, payload))
+
+
+class TestTypes:
+    """Wrongly typed values fail with a ConfigError naming section.key."""
+
+    def test_boolean_is_not_a_number(self, tmp_path):
+        config = load_with(tmp_path, "simulation", "signal_velocity_m_per_s",
+                           True)
+        with pytest.raises(ConfigError,
+                           match="simulation.signal_velocity_m_per_s"):
+            build_sim_config(config)
+
+    def test_string_is_not_a_number(self, tmp_path):
+        config = load_with(tmp_path, "simulation", "n_nodes", "4")
+        with pytest.raises(ConfigError, match="simulation.n_nodes"):
+            build_sim_config(config)
+
+    def test_fractional_node_count_rejected(self, tmp_path):
+        config = load_with(tmp_path, "simulation", "n_nodes", 2.7)
+        with pytest.raises(ConfigError, match="simulation.n_nodes"):
+            build_sim_config(config)
+
+    def test_fractional_seed_rejected(self, tmp_path):
+        config = load_with(tmp_path, "simulation", "seed", 1.5)
+        with pytest.raises(ConfigError, match="simulation.seed"):
+            build_sim_config(config)
+
+    @pytest.mark.parametrize("side", [0.0, -0.1])
+    def test_nonpositive_side_rejected(self, tmp_path, side):
+        config = load_with(tmp_path, "simulation", "side_m", side)
+        with pytest.raises(ConfigError, match="simulation.side_m"):
+            build_sim_config(config)
+
+    def test_string_coordinate_rejected(self, tmp_path):
+        config = load_with(tmp_path, "simulation", "positions_m",
+                           [[0.0, 0.0], [0.25, "0"]])
+        with pytest.raises(ConfigError, match=r"simulation.positions_m\[1\]\[1\]"):
+            build_sim_config(config)
+
+    def test_boolean_hardware_value_rejected(self, tmp_path):
+        config = load_with(tmp_path, "hardware", "wavelength_m", True)
+        with pytest.raises(ConfigError, match="hardware.wavelength_m"):
+            build_hardware_profile(config)
+
+    def test_fractional_sweep_seeds_rejected(self, tmp_path):
+        config = load_with(tmp_path, "sweep", "seeds", [0.5, 1.7])
+        with pytest.raises(ConfigError, match="sweep.seeds"):
+            build_sweep(config, build_sim_config(config), None, 10)
+
+    def test_boolean_sweep_diameter_rejected(self, tmp_path):
+        config = load_with(tmp_path, "sweep", "diameters_over_vt", [True])
+        with pytest.raises(ConfigError, match="sweep.diameters_over_vt"):
+            build_sweep(config, build_sim_config(config), None, 10)
+
+    def test_string_sweep_diameters_rejected(self, tmp_path):
+        config = load_with(tmp_path, "sweep", "diameters_over_vt", "0.1")
+        with pytest.raises(ConfigError, match="sweep.diameters_over_vt"):
+            build_sweep(config, build_sim_config(config), None, 10)
+
+
+class TestSweep:
+    def test_section_gives_diameters_in_metres_and_seeds(self, tmp_path):
+        config = load_with(tmp_path, "simulation",
+                           "signal_velocity_m_per_s", 2.0)
+        diameters, seeds = build_sweep(config, build_sim_config(config),
+                                       None, 10)
+        assert diameters == [0.2, 2.0]
+        assert seeds == [0, 1]
+
+    def test_override_replaces_section_and_seeds_default(self, tmp_path):
+        payload = json.loads(json.dumps(VALID))
+        payload["sweep"].pop("seeds")
+        config = load_experiment_config(write_config(tmp_path, payload))
+        diameters, seeds = build_sweep(config, build_sim_config(config),
+                                       [0.5], 3)
+        assert diameters == [0.5]
+        assert seeds == [0, 1, 2]
+
+    def test_no_diameters_anywhere_rejected(self, tmp_path):
+        payload = {k: v for k, v in VALID.items() if k != "sweep"}
+        config = load_experiment_config(write_config(tmp_path, payload))
+        with pytest.raises(ConfigError, match="diameters_over_vt"):
+            build_sweep(config, build_sim_config(config), None, 10)

@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from lightcone import (
     EventQueueOverflowError,
+    SampledGraph,
     SimConfig,
     pairwise_delays,
     run,
@@ -103,6 +105,20 @@ class TestConfigValidation:
             SimConfig(positions=[[0.0, np.inf]], signal_velocity=1.0,
                       natural_period=1.0, duration=2.0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("signal_velocity", math.nan),
+        ("natural_period", math.nan),
+        ("duration", math.inf),
+        ("max_events", 2.5),
+        ("max_events", True),
+    ])
+    def test_bad_scalar_rejected_by_name(self, field, value):
+        fields = dict(positions=[[0.0, 0.0]], signal_velocity=1.0,
+                      natural_period=1.0, duration=2.0)
+        fields[field] = value
+        with pytest.raises(ValueError, match=field):
+            SimConfig(**fields)
+
 
 class TestUncoupledDynamics:
     def test_single_node_fires_at_exact_periods(self):
@@ -138,6 +154,36 @@ class TestUncoupledDynamics:
             b = shifted.node_fire_times(node)
             m = min(len(a), len(b))
             assert np.allclose(a[:m] - delta, b[:m], rtol=0, atol=1e-12)
+
+
+def graph_config(graph, coupling=0.3):
+    rng = np.random.default_rng(11)
+    return SimConfig(positions=rng.uniform(0, 0.5, (16, 2)),
+                     signal_velocity=1.0, natural_period=1.0, duration=15.0,
+                     coupling_strength=coupling,
+                     initial_phases=rng.uniform(0, 1, 16), topology=graph)
+
+
+def graph_of(dense: np.ndarray) -> SampledGraph:
+    return SampledGraph(n_nodes=len(dense), adjacency=sp.csr_matrix(dense),
+                        seed=0)
+
+
+def same_trace(a, b) -> bool:
+    return (np.array_equal(a.times, b.times)
+            and np.array_equal(a.nodes, b.nodes) and a.n_events == b.n_events)
+
+
+class TestSampledTopology:
+    def test_complete_graph_matches_all_to_all(self):
+        complete = graph_of(np.ones((16, 16)) - np.eye(16))
+        assert same_trace(run(graph_config(complete)),
+                          run(graph_config("all_to_all")))
+
+    def test_edgeless_graph_matches_zero_coupling(self):
+        edgeless = graph_of(np.zeros((16, 16)))
+        assert same_trace(run(graph_config(edgeless)),
+                          run(graph_config(edgeless, coupling=0.0)))
 
 
 class TestDeterminism:
@@ -319,6 +365,15 @@ class TestSynchronyMetrics:
         assert report.per_node_phase.shape == (2,)
         gap = abs(report.per_node_phase[0] - report.per_node_phase[1])
         assert min(gap, 1.0 - gap) == pytest.approx(0.5, abs=1e-9)
+
+    def test_default_window_is_whole_trace_when_shorter(self):
+        trace = run(two_node_config(0.1, duration=3.0))
+        default = synchrony_metrics(trace)
+        explicit = synchrony_metrics(trace, window=3.0)
+        assert default.order_parameter == explicit.order_parameter
+        assert default.n_spikes == explicit.n_spikes
+        assert default.convergence_time == explicit.convergence_time
+        assert np.array_equal(default.per_node_phase, explicit.per_node_phase)
 
     def test_window_larger_than_duration_rejected(self):
         trace = run(two_node_config(0.1, duration=5.0))

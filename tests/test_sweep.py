@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from lightcone import SimConfig, pool_sweep
+from lightcone import SampledGraph, SimConfig, pool_sweep
 
 
 def base_config(n_nodes=16, coupling=0.3, duration=25.0):
@@ -57,6 +60,15 @@ class TestPoolSweep:
         means = [row.mean_order_parameter for row in result.rows]
         assert means[0] == means[1] == means[2]
         assert result.rows[0].order_parameters == result.rows[2].order_parameters
+
+    def test_complete_graph_base_matches_all_to_all(self):
+        base = base_config()
+        complete = SampledGraph(
+            n_nodes=16, adjacency=sp.csr_matrix(np.ones((16, 16)) - np.eye(16)),
+            seed=0)
+        graph_base = dataclasses.replace(base, topology=complete)
+        assert (pool_sweep(graph_base, [0.1, 2.0], [0, 1]).rows
+                == pool_sweep(base, [0.1, 2.0], [0, 1]).rows)
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
