@@ -1,15 +1,19 @@
 """Command-line surface: figure data, budget reports, simulations.
 
 Subcommands: degree, pool, area, power, simulate, sweep, paper-check.
-Numeric output uses scientific notation with six significant digits;
-units appear in headers only. Exit codes: 0 success, 1 check failure,
-2 usage or input error, including a simulation that exceeds its event
-budget (``max_events``).
+Each takes ``--out``; all but paper-check take ``--format``; area,
+power, simulate and sweep take ``--config``; only simulate takes
+``--seed`` (sweep draws from the config's ``sweep.seeds``). Numbers on
+the command line must be finite. Numeric output uses scientific
+notation with six significant digits; units appear in headers only.
+Exit codes: 0 success, 1 check failure, 2 usage or input error,
+including a simulation that exceeds its event budget (``max_events``).
 """
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -86,11 +90,24 @@ def _emit(args, header, rows, filename) -> None:
         emit_csv(header, rows, args.out, filename)
 
 
+def _finite_float(text: str) -> float:
+    """A number from the command line; NaN and infinity are rejected."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(
+            f"expected a finite number, got {text!r}")
+    return value
+
+
 def _parse_floats(text: str, flag: str) -> list[float]:
     try:
-        values = [float(v) for v in text.split(",") if v.strip() != ""]
-    except ValueError as exc:
-        raise ConfigError(f"{flag} expects comma-separated numbers: {exc}")
+        values = [_finite_float(v) for v in text.split(",")
+                  if v.strip() != ""]
+    except argparse.ArgumentTypeError as exc:
+        raise ConfigError(f"{flag}: {exc}")
     if not values:
         raise ConfigError(f"{flag} produced an empty list")
     return values
@@ -168,19 +185,25 @@ def _profile_from(args) -> HardwareProfile:
     return HardwareProfile.wafer_300mm()
 
 
+def _degree_law(args):
+    """A fixed ``--mean-degree`` when given, else a power law."""
+    if args.mean_degree is not None:
+        return args.mean_degree
+    return PowerLaw(alpha=args.alpha, k_min=args.k_min, k_max=args.k_max)
+
+
 def cmd_area(args) -> int:
     profile = _profile_from(args)
     if args.mode == "node":
-        degrees = [int(k) for k in _parse_floats(args.degrees, "--degrees")]
-        rows = [[k, node_area(k, profile)] for k in degrees]
+        degrees = _parse_floats(args.degrees, "--degrees")
+        if not all(k.is_integer() for k in degrees):
+            raise ConfigError(
+                f"--degrees expects whole numbers, got {args.degrees}")
+        rows = [[int(k), node_area(k, profile)] for k in degrees]
         _emit(args, ["degree", "node_area_m2"], rows, "node_area.csv")
     else:
         ns = _n_grid(args.n_min, args.n_max, args.per_decade)
-        if args.mean_degree is not None:
-            dist = args.mean_degree
-        else:
-            dist = PowerLaw(alpha=args.alpha, k_min=args.k_min,
-                            k_max=args.k_max)
+        dist = _degree_law(args)
         rows = [[int(n), network_area(float(n), dist, profile)] for n in ns]
         _emit(args, ["n_total", "network_area_m2"], rows, "network_area.csv")
     return EXIT_OK
@@ -196,8 +219,7 @@ def cmd_power(args) -> int:
         ["node_power_density_w_per_m2", report.power_density],
     ]
     if args.n_total is not None:
-        dist = (args.mean_degree if args.mean_degree is not None
-                else PowerLaw(alpha=args.alpha, k_min=args.k_min))
+        dist = _degree_law(args)
         rate = args.rate if args.rate is not None else args.frequency
         rows.append(["system_power_density_w_per_m2",
                      system_power_density(args.n_total, dist, rate, profile)])
@@ -240,7 +262,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_sweep(args) -> int:
     config = _require_config(args)
-    base = build_sim_config(config, seed_override=args.seed)
+    base = build_sim_config(config)
     override = (_parse_floats(args.diameters, "--diameters")
                 if args.diameters is not None else None)
     diameters, seeds = build_sweep(config, base, override, args.n_seeds)
@@ -288,15 +310,25 @@ def cmd_paper_check(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", type=Path, default=None,
+    # One parent per shared flag group; each subcommand takes only the
+    # groups it reads.
+    out, fmt, config, seed, grid, law = (
+        argparse.ArgumentParser(add_help=False) for _ in range(6))
+    out.add_argument("--out", type=Path, default=None,
+                     help="directory for output files (default: stdout)")
+    fmt.add_argument("--format", choices=("csv", "table"), default="table",
+                     help="output format (default: table)")
+    config.add_argument("--config", type=Path, default=None,
                         help="experiment config file (JSON, SI units)")
-    common.add_argument("--out", type=Path, default=None,
-                        help="directory for output files (default: stdout)")
-    common.add_argument("--seed", type=int, default=None,
-                        help="seed override for stochastic subcommands")
-    common.add_argument("--format", choices=("csv", "table"), default="table",
-                        help="output format (default: table)")
+    seed.add_argument("--seed", type=int, default=None,
+                      help="override simulation.seed (placement and phases)")
+    grid.add_argument("--n-min", type=_finite_float, default=1e2)
+    grid.add_argument("--n-max", type=_finite_float, default=1e8)
+    grid.add_argument("--per-decade", type=int, default=4)
+    law.add_argument("--alpha", type=_finite_float, default=2.0)
+    law.add_argument("--k-min", type=_finite_float, default=1.0)
+    law.add_argument("--mean-degree", type=_finite_float, default=None,
+                     help="degenerate fixed-degree distribution")
 
     parser = argparse.ArgumentParser(
         prog="lightcone",
@@ -305,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("degree", parents=[common],
+    p = sub.add_parser("degree", parents=[out, fmt, grid],
                        help="degree statistics over a grid of network sizes")
     p.add_argument("--random", action="store_true",
                    help="random-network average degree vs size")
@@ -315,69 +347,57 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated path lengths (with --random)")
     p.add_argument("--alpha", default="2,2.5,3",
                    help="comma-separated exponents (with --powerlaw)")
-    p.add_argument("--k-min", type=float, default=1.0)
-    p.add_argument("--k-max", type=float, default=None,
+    p.add_argument("--k-min", type=_finite_float, default=1.0)
+    p.add_argument("--k-max", type=_finite_float, default=None,
                    help="explicit degree cutoff (default: natural cutoff)")
-    p.add_argument("--n-min", type=float, default=1e2)
-    p.add_argument("--n-max", type=float, default=1e8)
-    p.add_argument("--per-decade", type=int, default=4)
     p.set_defaults(func=cmd_degree)
 
-    p = sub.add_parser("pool", parents=[common],
+    p = sub.add_parser("pool", parents=[out, fmt],
                        help="pool diameter, area and population")
-    p.add_argument("--v", type=float, default=SPEED_OF_LIGHT,
+    p.add_argument("--v", type=_finite_float, default=SPEED_OF_LIGHT,
                    help="signal velocity in m/s (default: light speed)")
-    p.add_argument("--w", type=float, default=1.9e-5,
+    p.add_argument("--w", type=_finite_float, default=1.9e-5,
                    help="element width in m")
     p.add_argument("--kind", choices=("neuron", "synapse"), default="synapse")
     p.add_argument("--n", type=int, default=2, help="spatial dimension")
-    p.add_argument("--f", type=float, default=None, help="single frequency, Hz")
-    p.add_argument("--f-min", type=float, default=None)
-    p.add_argument("--f-max", type=float, default=None)
+    p.add_argument("--f", type=_finite_float, default=None,
+                   help="single frequency, Hz")
+    p.add_argument("--f-min", type=_finite_float, default=None)
+    p.add_argument("--f-max", type=_finite_float, default=None)
     p.add_argument("--points", type=int, default=25)
     p.set_defaults(func=cmd_pool)
 
-    p = sub.add_parser("area", parents=[common],
+    p = sub.add_parser("area", parents=[out, fmt, config, grid, law],
                        help="node area vs degree, or network area vs size")
     p.add_argument("--mode", choices=("node", "network"), default="node")
     p.add_argument("--degrees", default="0,1,10,100,1000,10000",
-                   help="comma-separated degrees (node mode)")
-    p.add_argument("--n-min", type=float, default=1e2)
-    p.add_argument("--n-max", type=float, default=1e8)
-    p.add_argument("--per-decade", type=int, default=4)
-    p.add_argument("--alpha", type=float, default=2.0)
-    p.add_argument("--k-min", type=float, default=1.0)
-    p.add_argument("--k-max", type=float, default=None)
-    p.add_argument("--mean-degree", type=float, default=None,
-                   help="degenerate fixed-degree distribution (network mode)")
+                   help="comma-separated whole degrees (node mode)")
+    p.add_argument("--k-max", type=_finite_float, default=None)
     p.set_defaults(func=cmd_area)
 
-    p = sub.add_parser("power", parents=[common],
+    p = sub.add_parser("power", parents=[out, fmt, config, law],
                        help="photon-budget power report for one node")
-    p.add_argument("--degree", type=float, default=1e6)
-    p.add_argument("--frequency", type=float, default=1e6,
+    p.add_argument("--degree", type=_finite_float, default=1e6)
+    p.add_argument("--frequency", type=_finite_float, default=1e6,
                    help="firing rate of the node, Hz")
-    p.add_argument("--n-total", type=float, default=None,
+    p.add_argument("--n-total", type=_finite_float, default=None,
                    help="also report the system power density for n nodes")
-    p.add_argument("--mean-degree", type=float, default=None)
-    p.add_argument("--alpha", type=float, default=2.0)
-    p.add_argument("--k-min", type=float, default=1.0)
-    p.add_argument("--rate", type=float, default=None,
+    p.add_argument("--rate", type=_finite_float, default=None,
                    help="mean system firing rate, Hz (default: --frequency)")
-    p.set_defaults(func=cmd_power)
+    p.set_defaults(func=cmd_power, k_max=None)
 
-    p = sub.add_parser("simulate", parents=[common],
+    p = sub.add_parser("simulate", parents=[out, fmt, config, seed],
                        help="run one oscillator simulation from --config")
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("sweep", parents=[common],
+    p = sub.add_parser("sweep", parents=[out, fmt, config],
                        help="order parameter vs pool diameter from --config")
     p.add_argument("--diameters", default=None,
                    help="comma-separated diameters in units of v*T")
     p.add_argument("--n-seeds", type=int, default=10)
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("paper-check", parents=[common],
+    p = sub.add_parser("paper-check", parents=[out],
                        help="run the built-in golden-number suite")
     p.set_defaults(func=cmd_paper_check)
 

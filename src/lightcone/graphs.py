@@ -340,17 +340,33 @@ def sample_graph(dist: DegreeDistribution, n_total: int, seed: int) -> SampledGr
                         target_degrees=target)
 
 
-def _bfs_distance_sums(adjacency: sp.csr_matrix,
-                       sources: np.ndarray) -> np.ndarray:
+def _components(adjacency: sp.csr_matrix) -> np.ndarray:
+    """Component label of each node of a symmetric adjacency matrix.
+
+    On a symmetric matrix strong and weak components coincide, and the
+    strong search skips the transpose that ``directed=False`` builds.
+    """
+    return connected_components(adjacency, directed=True,
+                                connection="strong")[1]
+
+
+def _bfs_distance_sums(adjacency: sp.csr_matrix, sources: np.ndarray,
+                       labels: np.ndarray | None = None) -> np.ndarray:
     """Sum of hop distances from each source to every node it reaches.
 
     Bit-parallel multi-source BFS (Then et al., VLDB 2014): each chunk of
     up to 256 sources gets one bit per source in 4 uint64 words per node,
     and one level expands every source at once by OR-ing the frontier
-    words of each node's neighbours. ``adjacency`` must be symmetric; only
-    its sparsity structure is read. The int64 sums are exact.
+    words of each node's neighbours. A chunk stops once every source has
+    reached its whole component (``labels``, computed when not given).
+    ``adjacency`` must be symmetric; only its sparsity structure is read.
+    The int64 sums are exact.
     """
     n = adjacency.shape[0]
+    if labels is None:
+        labels = _components(adjacency)
+    # Nodes each source still has to reach: its component minus itself.
+    unreached = np.bincount(labels)[labels[sources]] - 1
     indptr, indices = adjacency.indptr, adjacency.indices
     # reduceat gives an empty segment a stray element, and rejects a
     # trailing one that starts at nnz: reduce non-empty rows only.
@@ -367,17 +383,17 @@ def _bfs_distance_sums(adjacency: sp.csr_matrix,
                          np.uint64(1) << (bits % 64).astype(np.uint64))
         frontier = seen.copy()
         reached = np.zeros_like(seen)
+        remaining = unreached[first:first + len(batch)]
         level = 0
-        while True:
+        while (remaining > 0).any():
             level += 1
             reached[rows] = np.bitwise_or.reduceat(frontier[indices], starts,
                                                    axis=0)
             reached &= ~seen
             hits = np.unpackbits(reached.view(np.uint8), axis=1,
                                  bitorder="little").sum(axis=0, dtype=np.int64)
-            if not hits.any():
-                break
             sums[first:first + len(batch)] += level * hits[:len(batch)]
+            remaining -= hits[:len(batch)]
             seen |= reached
             frontier, reached = reached, frontier
     return sums
@@ -411,7 +427,7 @@ def measure_avg_path_length(graph: SampledGraph,
     n = graph.n_nodes
     if n < 2:
         raise DisconnectedGraphError(0.0, [n] if n else [])
-    ncomp, labels = connected_components(graph.adjacency, directed=False)
+    labels = _components(graph.adjacency)
     counts = np.bincount(labels)
     giant = int(np.argmax(counts))
     size = int(counts[giant])
@@ -434,7 +450,8 @@ def measure_avg_path_length(graph: SampledGraph,
         exact = len(sources) == size
 
     # Every target in the component is reachable; the source adds 0.
-    per_source = _bfs_distance_sums(graph.adjacency, sources) / (size - 1)
+    per_source = _bfs_distance_sums(graph.adjacency, sources,
+                                    labels) / (size - 1)
     mean = float(per_source.mean())
     stderr = None
     if not exact:

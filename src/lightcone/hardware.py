@@ -9,7 +9,7 @@ synapses packs onto a 300 mm wafer with a few percent of slack.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .constants import PLANCK, SPEED_OF_LIGHT
 from .graphs import PowerLaw, RandomGaussian, avg_degree_random, powerlaw_mean_degree
@@ -47,6 +47,10 @@ class HardwareProfile:
     cooling_overhead: float
 
     def __post_init__(self):
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if not math.isfinite(value):
+                raise ValueError(f"{field.name} must be finite, got {value}")
         positive = {
             "synapse_area": self.synapse_area,
             "wafer_diameter": self.wafer_diameter,
@@ -70,11 +74,9 @@ class HardwareProfile:
             raise ValueError(
                 f"source_efficiency must be <= 1, got {self.source_efficiency}"
             )
-        if not (math.isfinite(self.cooling_overhead)
-                and self.cooling_overhead >= 1.0):
+        if self.cooling_overhead < 1.0:
             raise ValueError(
-                "cooling_overhead must be finite and >= 1, "
-                f"got {self.cooling_overhead}"
+                f"cooling_overhead must be >= 1, got {self.cooling_overhead}"
             )
 
     @classmethod
@@ -182,10 +184,10 @@ def neuron_power(degree: float, frequency: float,
     energy into drawn energy. Power density is referred to the node's
     own footprint.
     """
-    if degree < 1:
-        raise ValueError(f"degree must be >= 1, got {degree}")
-    if frequency <= 0.0:
-        raise ValueError(f"frequency must be > 0, got {frequency}")
+    if not (math.isfinite(degree) and degree >= 1):
+        raise ValueError(f"degree must be finite and >= 1, got {degree}")
+    if not (math.isfinite(frequency) and frequency > 0.0):
+        raise ValueError(f"frequency must be finite and > 0, got {frequency}")
     pulse = _pulse_energy(degree, profile)
     device = pulse * frequency
     wall = device * profile.cooling_overhead

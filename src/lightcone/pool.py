@@ -90,35 +90,30 @@ class PoolResult:
     area: float | None
 
 
-def pool_diameter(platform: Platform, frequency: float,
-                  round_trip: bool = False) -> float:
+def pool_diameter(platform: Platform, frequency: float) -> float:
     """Maximum pairwise separation integrable at ``frequency``: d = v/f.
 
-    ``round_trip=True`` halves the diameter, modelling the stricter
-    requirement that a reply pulse also arrive within the same period.
-    The one-way model is the default.
+    The limit is one-way: a pulse must reach its target within one
+    period; no reply is required.
     """
     if frequency <= 0.0:
         raise ValueError(f"frequency must be > 0, got {frequency}")
-    d = platform.signal_velocity / frequency
-    return 0.5 * d if round_trip else d
+    return platform.signal_velocity / frequency
 
 
-def pool_population(platform: Platform, query: PoolQuery,
-                    round_trip: bool = False) -> float:
+def pool_population(platform: Platform, query: PoolQuery) -> float:
     """Number of elements in the pool: (d / element_width) ** dimension.
 
     Computed through :func:`pool_diameter` so the compositional identity
     population == (diameter/width)**n holds bit-exactly.
     """
-    d = pool_diameter(platform, query.frequency, round_trip)
+    d = pool_diameter(platform, query.frequency)
     return (d / platform.element_width) ** query.dimension
 
 
-def pool_area(platform: Platform, frequency: float,
-              round_trip: bool = False) -> float:
+def pool_area(platform: Platform, frequency: float) -> float:
     """Planar pool area under the square convention: area = d**2."""
-    d = pool_diameter(platform, frequency, round_trip)
+    d = pool_diameter(platform, frequency)
     return d * d
 
 
@@ -150,8 +145,8 @@ def max_frequency(platform: Platform, extent: float) -> float:
     return platform.signal_velocity / extent
 
 
-def is_integrable(platform: Platform, separation: float, frequency: float,
-                  round_trip: bool = False) -> bool:
+def is_integrable(platform: Platform, separation: float,
+                  frequency: float) -> bool:
     """True when two elements ``separation`` apart can interact within 1/f.
 
     The boundary separation == v/f counts as integrable. Evaluated
@@ -161,16 +156,15 @@ def is_integrable(platform: Platform, separation: float, frequency: float,
     """
     if separation <= 0.0:
         raise ValueError(f"separation must be > 0, got {separation}")
-    return separation <= pool_diameter(platform, frequency, round_trip)
+    return separation <= pool_diameter(platform, frequency)
 
 
-def describe_pool(platform: Platform, query: PoolQuery,
-                  round_trip: bool = False) -> PoolResult:
+def describe_pool(platform: Platform, query: PoolQuery) -> PoolResult:
     """Diameter, population and (when planar) area for one query."""
-    area = (pool_area(platform, query.frequency, round_trip)
+    area = (pool_area(platform, query.frequency)
             if query.dimension == 2 else None)
     return PoolResult(
-        diameter=pool_diameter(platform, query.frequency, round_trip),
-        population=pool_population(platform, query, round_trip),
+        diameter=pool_diameter(platform, query.frequency),
+        population=pool_population(platform, query),
         area=area,
     )

@@ -122,12 +122,14 @@ class SimConfig:
             raise ValueError(
                 f"lock_threshold must be in (0, 1], got {self.lock_threshold}"
             )
-        if (isinstance(self.max_events, bool)
-                or not isinstance(self.max_events, (int, np.integer))
-                or self.max_events < 1):
-            raise ValueError(
-                f"max_events must be an integer >= 1, got {self.max_events!r}"
-            )
+        for name, minimum in (("max_events", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if (isinstance(value, bool)
+                    or not isinstance(value, (int, np.integer))
+                    or value < minimum):
+                raise ValueError(
+                    f"{name} must be an integer >= {minimum}, got {value!r}"
+                )
         n = pos.shape[0]
         if self.initial_phases is not None:
             phases = np.asarray(self.initial_phases, dtype=float)
@@ -349,20 +351,24 @@ def run(config: SimConfig) -> SpikeTrace:
     )
 
 
-def _order_parameter(times: np.ndarray, period: float) -> float:
+def _mean_phasor(times: np.ndarray, period: float) -> complex:
+    """Circular mean of fire times modulo ``period``, as a unit-disc point."""
     angles = 2.0 * np.pi * ((times % period) / period)
-    return float(abs(np.exp(1j * angles).mean()))
+    return np.exp(1j * angles).mean()
 
 
-def synchrony_metrics(trace: SpikeTrace, period: float | None = None,
-                      window: float | None = None,
+def _order_parameter(times: np.ndarray, period: float) -> float:
+    return float(abs(_mean_phasor(times, period)))
+
+
+def synchrony_metrics(trace: SpikeTrace, window: float | None = None,
                       lock_threshold: float = DEFAULT_LOCK_THRESHOLD
                       ) -> SynchronyReport:
     """Phase coherence of the trailing ``window`` of a trace.
 
     The order parameter is the magnitude of the circular mean of fire
-    times modulo ``period`` (defaults: the trace's natural period; a
-    window of ten periods, or the whole trace when it is shorter).
+    times modulo the trace's natural period (default window: ten
+    periods, or the whole trace when it is shorter).
     ``convergence_time`` is the start of the earliest period from which
     every subsequent one-period window stays at or above the lock
     threshold, or None if none does.
@@ -370,10 +376,7 @@ def synchrony_metrics(trace: SpikeTrace, period: float | None = None,
     Raises ValueError when the window exceeds the trace duration or
     contains no spikes.
     """
-    if period is None:
-        period = trace.natural_period
-    if period <= 0.0:
-        raise ValueError(f"period must be > 0, got {period}")
+    period = trace.natural_period
     if window is None:
         window = min(DEFAULT_ANALYSIS_PERIODS * period, trace.duration)
     if window <= 0.0 or window > trace.duration:
@@ -392,8 +395,7 @@ def synchrony_metrics(trace: SpikeTrace, period: float | None = None,
     for i in range(trace.n_nodes):
         own = times[nodes == i]
         if len(own):
-            angles = 2.0 * np.pi * ((own % period) / period)
-            mean_angle = np.angle(np.exp(1j * angles).mean())
+            mean_angle = np.angle(_mean_phasor(own, period))
             per_node[i] = (mean_angle / (2.0 * np.pi)) % 1.0 * period
 
     n_periods = int(trace.duration / period)

@@ -218,3 +218,45 @@ def test_event_budget_overflow_is_clean_input_error(tmp_path: Path):
     assert result.returncode == 2
     assert result.stderr.startswith("error: event queue exceeded 5 events")
     assert "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize("args", [
+    ("area", "--degrees", "inf"),
+    ("area", "--degrees", "2.7"),
+    ("degree", "--random", "--path-length", "nan"),
+    ("power", "--degree", "nan"),
+    ("power", "--frequency", "inf"),
+])
+def test_non_finite_or_fractional_number_is_usage_error(args):
+    result = run_cli(*args)
+    assert result.returncode == 2
+    assert "error" in result.stderr
+    assert "Traceback" not in result.stderr
+    assert result.stdout == ""
+
+
+@pytest.mark.parametrize("args", [
+    ("degree", "--random", "--seed", "1"),
+    ("pool", "--f", "6", "--config", "x.json"),
+    ("sweep", "--seed", "1"),
+    ("paper-check", "--format", "csv"),
+])
+def test_flag_the_subcommand_does_not_read_is_usage_error(args):
+    result = run_cli(*args)
+    assert result.returncode == 2
+    assert "unrecognized arguments" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize("law", [
+    ("--alpha", "2.5", "--k-min", "14.5"),
+    ("--mean-degree", "200"),
+])
+def test_area_and_power_share_the_degree_law(law):
+    area = run_cli("area", "--mode", "network", "--n-min", "1e6",
+                   "--n-max", "1e6", "--format", "csv", *law)
+    power = run_cli("power", "--n-total", "1e6", "--format", "csv", *law)
+    assert area.returncode == 0 and power.returncode == 0
+    _, area_rows = parse_csv(area.stdout)
+    _, power_rows = parse_csv(power.stdout)
+    assert area_rows == [["1000000", dict(power_rows)["network_area_m2"]]]

@@ -161,6 +161,16 @@ class TestNeuronPower:
         with pytest.raises(ValueError):
             neuron_power(10, 0.0, WAFER)
 
+    @pytest.mark.parametrize("name, degree, frequency", [
+        ("degree", math.nan, 1e6),
+        ("degree", math.inf, 1e6),
+        ("frequency", 10, math.nan),
+        ("frequency", 10, math.inf),
+    ])
+    def test_nonfinite_input_rejected_by_name(self, name, degree, frequency):
+        with pytest.raises(ValueError, match=name):
+            neuron_power(degree, frequency, WAFER)
+
 
 class TestSystemPowerDensity:
     def test_watt_scale_network_density(self):
@@ -221,6 +231,16 @@ class TestProfileValidation:
     def test_nonfinite_cooling_rejected(self, cooling):
         with pytest.raises(ValueError, match="cooling_overhead"):
             dataclasses.replace(WAFER, cooling_overhead=cooling)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("field", [
+        "synapse_area", "neuron_base_area", "routing_overhead_fraction",
+        "wafer_diameter", "wavelength", "photons_per_synapse_event",
+        "source_efficiency",
+    ])
+    def test_nonfinite_field_rejected_by_name(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            dataclasses.replace(WAFER, **{field: value})
 
     def test_cooling_below_one_rejected(self):
         with pytest.raises(ValueError):

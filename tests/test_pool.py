@@ -77,11 +77,6 @@ class TestPoolDiameter:
             2 * pool_diameter(LIGHT, 1e6)
         )
 
-    def test_round_trip_halves(self):
-        assert pool_diameter(LIGHT, 1e6, round_trip=True) == pytest.approx(
-            0.5 * pool_diameter(LIGHT, 1e6)
-        )
-
     def test_nonpositive_frequency_rejected(self):
         with pytest.raises(ValueError):
             pool_diameter(LIGHT, 0.0)

@@ -111,6 +111,9 @@ class TestConfigValidation:
         ("duration", math.inf),
         ("max_events", 2.5),
         ("max_events", True),
+        ("seed", True),
+        ("seed", 1.5),
+        ("seed", -1),
     ])
     def test_bad_scalar_rejected_by_name(self, field, value):
         fields = dict(positions=[[0.0, 0.0]], signal_velocity=1.0,
