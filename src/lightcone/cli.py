@@ -4,8 +4,10 @@ Subcommands: degree, pool, area, power, simulate, sweep, paper-check.
 Each takes ``--out``; all but paper-check take ``--format``; area,
 power, simulate and sweep take ``--config``; only simulate takes
 ``--seed`` (sweep draws from the config's ``sweep.seeds``). Numbers on
-the command line must be finite. Numeric output uses scientific
-notation with six significant digits; units appear in headers only.
+the command line must be finite; ``--points``, ``--per-decade`` and
+``--n-seeds`` must be whole numbers >= 1, and ``--seed`` >= 0. Numeric
+output uses scientific notation with six significant digits; units appear
+in headers only.
 Exit codes: 0 success, 1 check failure, 2 usage or input error,
 including a simulation that exceeds its event budget (``max_events``).
 """
@@ -13,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -27,7 +28,12 @@ from .config import (
     load_experiment_config,
 )
 from .constants import EARTH_SURFACE_AREA, SPEED_OF_LIGHT, THETA_BAND_HZ
-from .errors import ConfigError, EventQueueOverflowError
+from .errors import (
+    ConfigError,
+    EventQueueOverflowError,
+    check_integer,
+    check_number,
+)
 from .golden import all_passed, run_golden_checks
 from .graphs import PowerLaw, avg_degree_random, powerlaw_max_degree, powerlaw_mean_degree
 from .hardware import (
@@ -93,13 +99,22 @@ def _emit(args, header, rows, filename) -> None:
 def _finite_float(text: str) -> float:
     """A number from the command line; NaN and infinity are rejected."""
     try:
-        value = float(text)
+        return check_number("value", float(text))
     except ValueError:
-        value = math.nan
-    if not math.isfinite(value):
         raise argparse.ArgumentTypeError(
-            f"expected a finite number, got {text!r}")
-    return value
+            f"expected a finite number, got {text!r}") from None
+
+
+def _whole_number(minimum: int):
+    """An argparse type for a whole number no smaller than ``minimum``."""
+    def parse(text: str) -> int:
+        try:
+            return check_integer("value", int(text), ge=minimum)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected a whole number >= {minimum}, got {text!r}"
+            ) from None
+    return parse
 
 
 def _parse_floats(text: str, flag: str) -> list[float]:
@@ -320,11 +335,11 @@ def build_parser() -> argparse.ArgumentParser:
                      help="output format (default: table)")
     config.add_argument("--config", type=Path, default=None,
                         help="experiment config file (JSON, SI units)")
-    seed.add_argument("--seed", type=int, default=None,
+    seed.add_argument("--seed", type=_whole_number(0), default=None,
                       help="override simulation.seed (placement and phases)")
     grid.add_argument("--n-min", type=_finite_float, default=1e2)
     grid.add_argument("--n-max", type=_finite_float, default=1e8)
-    grid.add_argument("--per-decade", type=int, default=4)
+    grid.add_argument("--per-decade", type=_whole_number(1), default=4)
     law.add_argument("--alpha", type=_finite_float, default=2.0)
     law.add_argument("--k-min", type=_finite_float, default=1.0)
     law.add_argument("--mean-degree", type=_finite_float, default=None,
@@ -359,12 +374,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--w", type=_finite_float, default=1.9e-5,
                    help="element width in m")
     p.add_argument("--kind", choices=("neuron", "synapse"), default="synapse")
-    p.add_argument("--n", type=int, default=2, help="spatial dimension")
+    p.add_argument("--n", type=int, choices=(1, 2, 3), default=2,
+                   help="spatial dimension")
     p.add_argument("--f", type=_finite_float, default=None,
                    help="single frequency, Hz")
     p.add_argument("--f-min", type=_finite_float, default=None)
     p.add_argument("--f-max", type=_finite_float, default=None)
-    p.add_argument("--points", type=int, default=25)
+    p.add_argument("--points", type=_whole_number(1), default=25)
     p.set_defaults(func=cmd_pool)
 
     p = sub.add_parser("area", parents=[out, fmt, config, grid, law],
@@ -394,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="order parameter vs pool diameter from --config")
     p.add_argument("--diameters", default=None,
                    help="comma-separated diameters in units of v*T")
-    p.add_argument("--n-seeds", type=int, default=10)
+    p.add_argument("--n-seeds", type=_whole_number(1), default=10)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("paper-check", parents=[out],

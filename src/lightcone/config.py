@@ -2,21 +2,21 @@
 
 All quantities are SI. Unknown top-level sections and unknown keys inside
 a section are rejected rather than ignored, so typos fail loudly. Every
-number is read through ``_number`` or ``_integer``, which reject wrongly
-typed values with a ConfigError naming ``section.key``.
+number is read through ``_number`` or ``_integer``, which apply the
+package's one numeric input rule (``errors.check_number`` and
+``check_integer``) and report a breach as a ConfigError naming
+``section.key``.
 """
 from __future__ import annotations
 
 import json
-import math
-from contextlib import suppress
 from dataclasses import dataclass, field, replace
 from functools import partial
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, check_integer, check_number
 from .hardware import HardwareProfile
 from .sim import SimConfig
 
@@ -67,22 +67,22 @@ class ExperimentConfig:
     sweep: dict = field(default_factory=dict)
 
 
-def _number(value, name: str) -> float:
+def _checked(check, value, name: str, **bounds):
+    """Run one of the ``errors`` checkers, raising ConfigError instead."""
+    try:
+        return check(name, value, **bounds)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+
+
+def _number(value, name: str, **bounds) -> float:
     """A JSON number as a finite float; ``name`` is its ``section.key``."""
-    if not isinstance(value, bool) and isinstance(value, (int, float)):
-        with suppress(OverflowError):  # an integer beyond the float range
-            if math.isfinite(value):
-                return float(value)
-    raise ConfigError(f"{name} must be a finite number, got {value!r}")
+    return float(_checked(check_number, value, name, **bounds))
 
 
 def _integer(value, name: str, minimum: int = 0) -> int:
     """A JSON integer no smaller than ``minimum``; ``name`` as above."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
-        raise ConfigError(
-            f"{name} must be an integer >= {minimum}, got {value!r}"
-        )
-    return value
+    return _checked(check_integer, value, name, ge=minimum)
 
 
 def _each(read, value, name: str) -> list:
@@ -157,18 +157,17 @@ def build_sim_config(config: ExperimentConfig,
     if "max_events" in section:
         numbers["max_events"] = _integer(section["max_events"],
                                          "simulation.max_events", minimum=1)
-    seed = _integer(section.get("seed", 0), "simulation.seed")
-    if seed_override is not None:
-        seed = seed_override
+    if seed_override is None:
+        seed = _integer(section.get("seed", 0), "simulation.seed")
+    else:
+        seed = _integer(seed_override, "seed")
     if "positions_m" in section:
         positions = np.asarray(_each(partial(_each, _number),
                                      section["positions_m"],
                                      "simulation.positions_m"))
     elif "n_nodes" in section and "side_m" in section:
         n_nodes = _integer(section["n_nodes"], "simulation.n_nodes", minimum=1)
-        side = _number(section["side_m"], "simulation.side_m")
-        if side <= 0.0:
-            raise ConfigError(f"simulation.side_m must be > 0, got {side}")
+        side = _number(section["side_m"], "simulation.side_m", gt=0.0)
         rng = np.random.default_rng(seed)
         positions = rng.uniform(0.0, side, size=(n_nodes, 2))
     else:

@@ -1,5 +1,86 @@
-"""Exception types that carry diagnostic payloads."""
+"""The numeric input rule, and exception types that carry diagnostic payloads.
+
+Every number a public constructor or formula takes goes through
+``check_number`` (a finite real within optional bounds), ``check_integer``
+(an integer within optional bounds) or, for arrays, ``check_each``. They
+reject bools, non-numbers, NaN and infinity with a ValueError that names
+the input, and never convert, so a checked value keeps its type and all
+arithmetic on it stays as it was. The config reader turns that error into
+a ConfigError naming ``section.key``; the CLI turns either into exit 2.
+"""
 from __future__ import annotations
+
+import math
+from numbers import Integral, Real
+
+import numpy as np
+
+
+def _bounds(gt, ge, lt, le) -> str:
+    """The bounds as text, e.g. " >= 0 and < 0.5"; empty when unbounded."""
+    parts = [f"{op} {bound}" for op, bound in
+             ((">", gt), (">=", ge), ("<", lt), ("<=", le)) if bound is not None]
+    return " " + " and ".join(parts) if parts else ""
+
+
+def _within(value, gt, ge, lt, le):
+    """Whether ``value`` meets every bound given; element-wise for arrays."""
+    return ((gt is None or value > gt) & (ge is None or value >= ge)
+            & (lt is None or value < lt) & (le is None or value <= le))
+
+
+def _is_finite(value) -> bool:
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
+def check_number(name: str, value, *, gt=None, ge=None, lt=None, le=None):
+    """``value`` itself when it is a finite real number within the bounds.
+
+    Raises ValueError naming ``name`` for a bool, a non-number, NaN,
+    infinity (or an integer too large for a float) and for a value outside
+    ``gt < value``, ``ge <= value``, ``value < lt`` or ``value <= le``.
+    """
+    if (isinstance(value, bool) or not isinstance(value, Real)
+            or not _is_finite(value) or not _within(value, gt, ge, lt, le)):
+        raise ValueError(f"{name} must be a finite number"
+                         f"{_bounds(gt, ge, lt, le)}, got {value!r}")
+    return value
+
+
+def check_integer(name: str, value, *, ge=None, le=None):
+    """``value`` itself when it is an integer (not a bool) within the bounds.
+
+    Raises ValueError naming ``name`` otherwise; a float such as 2.0 is
+    not an integer.
+    """
+    if (isinstance(value, bool) or not isinstance(value, Integral)
+            or not _within(value, None, ge, None, le)):
+        raise ValueError(f"{name} must be an integer"
+                         f"{_bounds(None, ge, None, le)}, got {value!r}")
+    return value
+
+
+def check_each(name: str, values, *, gt=None, ge=None, lt=None,
+               le=None) -> None:
+    """``check_number`` on every element, each named like ``name[i, j]``.
+
+    A float array is screened in one vectorized pass of the same rule and
+    only the elements it flags are checked one by one; other input, such
+    as a list that may hold bools or strings, is checked element by
+    element.
+    """
+    items = np.asarray(values, dtype=object)
+    if isinstance(values, np.ndarray) and values.dtype.kind == "f":
+        flagged = ~(np.isfinite(values) & _within(values, gt, ge, lt, le))
+        indices = map(tuple, np.argwhere(flagged))
+    else:
+        indices = np.ndindex(items.shape)
+    for index in indices:
+        check_number(f"{name}[{', '.join(map(str, index))}]", items[index],
+                     gt=gt, ge=ge, lt=lt, le=le)
 
 
 class DisconnectedGraphError(ValueError):

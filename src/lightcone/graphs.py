@@ -16,7 +16,7 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
 from .constants import EULER_GAMMA
-from .errors import DisconnectedGraphError
+from .errors import DisconnectedGraphError, check_integer, check_number
 
 __all__ = [
     "RandomGaussian",
@@ -55,12 +55,8 @@ class RandomGaussian:
     avg_path_length: float
 
     def __post_init__(self):
-        if self.n_total < 2:
-            raise ValueError(f"n_total must be >= 2, got {self.n_total}")
-        if self.avg_path_length < 1.0:
-            raise ValueError(
-                f"avg_path_length must be >= 1, got {self.avg_path_length}"
-            )
+        check_number("n_total", self.n_total, ge=2)
+        check_number("avg_path_length", self.avg_path_length, ge=1.0)
 
 
 @dataclass(frozen=True)
@@ -77,16 +73,10 @@ class PowerLaw:
     k_max: float | None = None
 
     def __post_init__(self):
-        if not 1.0 < self.alpha <= 4.0:
-            raise ValueError(
-                f"alpha must be in (1, 4], got {self.alpha}"
-            )
-        if self.k_min < 1.0:
-            raise ValueError(f"k_min must be >= 1, got {self.k_min}")
-        if self.k_max is not None and self.k_max < self.k_min:
-            raise ValueError(
-                f"k_max ({self.k_max}) must be >= k_min ({self.k_min})"
-            )
+        check_number("alpha", self.alpha, gt=1.0, le=4.0)
+        check_number("k_min", self.k_min, ge=1.0)
+        if self.k_max is not None:
+            check_number("k_max", self.k_max, ge=self.k_min)
 
 
 DegreeDistribution = Union[RandomGaussian, PowerLaw]
@@ -146,10 +136,8 @@ def avg_degree_random(n_total: float, avg_path_length: float) -> float:
     (Gaussian-degree) network of ``n_total`` nodes attains average
     shortest-path length ``avg_path_length``.
     """
-    if n_total < 2:
-        raise ValueError(f"n_total must be >= 2, got {n_total}")
-    if avg_path_length < 1.0:
-        raise ValueError(f"avg_path_length must be >= 1, got {avg_path_length}")
+    check_number("n_total", n_total, ge=2)
+    check_number("avg_path_length", avg_path_length, ge=1.0)
     return math.exp((math.log(n_total) - EULER_GAMMA) / avg_path_length + 0.5)
 
 
@@ -159,12 +147,8 @@ def path_length_random(n_total: float, avg_degree: float) -> float:
     Exact algebraic inverse of :func:`avg_degree_random`:
     L = (ln(n) - gamma) / (ln(k) - 1/2). Requires ln(k) > 1/2.
     """
-    if n_total < 2:
-        raise ValueError(f"n_total must be >= 2, got {n_total}")
-    if avg_degree <= 0 or math.log(avg_degree) <= 0.5:
-        raise ValueError(
-            f"avg_degree must exceed exp(1/2) ~ 1.6487, got {avg_degree}"
-        )
+    check_number("n_total", n_total, ge=2)
+    check_number("avg_degree", avg_degree, gt=math.exp(0.5))
     return (math.log(n_total) - EULER_GAMMA) / (math.log(avg_degree) - 0.5)
 
 
@@ -174,7 +158,12 @@ def _natural_cutoff(dist: PowerLaw, n_total: float) -> float:
 
 
 def powerlaw_cutoff(dist: PowerLaw, n_total: float) -> float:
-    """Upper degree cutoff: explicit if set, else the natural cutoff."""
+    """Upper degree cutoff: explicit if set, else the natural cutoff.
+
+    Every ``powerlaw_*`` function reads ``n_total`` through here, so this
+    one check (a finite number >= 2) serves them all.
+    """
+    check_number("n_total", n_total, ge=2)
     if dist.k_max is not None:
         return float(dist.k_max)
     return _natural_cutoff(dist, n_total)
@@ -188,8 +177,6 @@ def powerlaw_mean_degree(dist: PowerLaw, n_total: float) -> float:
     integral logarithmic and is handled by its exact closed form rather
     than a numerical limit.
     """
-    if n_total < 2:
-        raise ValueError(f"n_total must be >= 2, got {n_total}")
     a = dist.alpha
     lo = float(dist.k_min)
     hi = powerlaw_cutoff(dist, n_total)
@@ -208,8 +195,6 @@ def powerlaw_max_degree(dist: PowerLaw, n_total: float) -> float:
     The natural cutoff leaves one node expected beyond it; an explicit
     truncation can only lower the maximum.
     """
-    if n_total < 2:
-        raise ValueError(f"n_total must be >= 2, got {n_total}")
     return min(powerlaw_cutoff(dist, n_total), _natural_cutoff(dist, n_total))
 
 
@@ -289,8 +274,7 @@ def sample_graph(dist: DegreeDistribution, n_total: int, seed: int) -> SampledGr
     Raises ValueError for infeasible sequences (a degree >= n_total) and
     for samples beyond the memory budget (~2e8 expected stubs).
     """
-    if n_total < 2:
-        raise ValueError(f"n_total must be >= 2, got {n_total}")
+    check_integer("n_total", n_total, ge=2)
     rng = np.random.default_rng(seed)
     target: np.ndarray | None = None
     if isinstance(dist, RandomGaussian):
@@ -351,20 +335,18 @@ def _components(adjacency: sp.csr_matrix) -> np.ndarray:
 
 
 def _bfs_distance_sums(adjacency: sp.csr_matrix, sources: np.ndarray,
-                       labels: np.ndarray | None = None) -> np.ndarray:
+                       labels: np.ndarray) -> np.ndarray:
     """Sum of hop distances from each source to every node it reaches.
 
     Bit-parallel multi-source BFS (Then et al., VLDB 2014): each chunk of
     up to 256 sources gets one bit per source in 4 uint64 words per node,
     and one level expands every source at once by OR-ing the frontier
     words of each node's neighbours. A chunk stops once every source has
-    reached its whole component (``labels``, computed when not given).
+    reached its whole component, as given by the ``_components`` labels.
     ``adjacency`` must be symmetric; only its sparsity structure is read.
     The int64 sums are exact.
     """
     n = adjacency.shape[0]
-    if labels is None:
-        labels = _components(adjacency)
     # Nodes each source still has to reach: its component minus itself.
     unreached = np.bincount(labels)[labels[sources]] - 1
     indptr, indices = adjacency.indptr, adjacency.indices

@@ -9,9 +9,10 @@ synapses packs onto a 300 mm wafer with a few percent of slack.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 from .constants import PLANCK, SPEED_OF_LIGHT
+from .errors import check_number
 from .graphs import PowerLaw, RandomGaussian, avg_degree_random, powerlaw_mean_degree
 
 __all__ = [
@@ -47,37 +48,17 @@ class HardwareProfile:
     cooling_overhead: float
 
     def __post_init__(self):
-        for field in fields(self):
-            value = getattr(self, field.name)
-            if not math.isfinite(value):
-                raise ValueError(f"{field.name} must be finite, got {value}")
-        positive = {
-            "synapse_area": self.synapse_area,
-            "wafer_diameter": self.wafer_diameter,
-            "wavelength": self.wavelength,
-            "photons_per_synapse_event": self.photons_per_synapse_event,
-            "source_efficiency": self.source_efficiency,
-        }
-        for name, value in positive.items():
-            if value <= 0.0:
-                raise ValueError(f"{name} must be > 0, got {value}")
-        if self.neuron_base_area < 0.0:
-            raise ValueError(
-                f"neuron_base_area must be >= 0, got {self.neuron_base_area}"
-            )
-        if self.routing_overhead_fraction < 0.0:
-            raise ValueError(
-                "routing_overhead_fraction must be >= 0, "
-                f"got {self.routing_overhead_fraction}"
-            )
-        if self.source_efficiency > 1.0:
-            raise ValueError(
-                f"source_efficiency must be <= 1, got {self.source_efficiency}"
-            )
-        if self.cooling_overhead < 1.0:
-            raise ValueError(
-                f"cooling_overhead must be >= 1, got {self.cooling_overhead}"
-            )
+        check_number("synapse_area", self.synapse_area, gt=0.0)
+        check_number("neuron_base_area", self.neuron_base_area, ge=0.0)
+        check_number("routing_overhead_fraction",
+                     self.routing_overhead_fraction, ge=0.0)
+        check_number("wafer_diameter", self.wafer_diameter, gt=0.0)
+        check_number("wavelength", self.wavelength, gt=0.0)
+        check_number("photons_per_synapse_event",
+                     self.photons_per_synapse_event, gt=0.0)
+        check_number("source_efficiency", self.source_efficiency,
+                     gt=0.0, le=1.0)
+        check_number("cooling_overhead", self.cooling_overhead, ge=1.0)
 
     @classmethod
     def wafer_300mm(cls) -> "HardwareProfile":
@@ -112,24 +93,20 @@ class PowerReport:
 
 def photon_energy(wavelength: float) -> float:
     """Photon energy E = h*c/wavelength, in joules."""
-    if wavelength <= 0.0:
-        raise ValueError(f"wavelength must be > 0, got {wavelength}")
+    check_number("wavelength", wavelength, gt=0.0)
     return PLANCK * SPEED_OF_LIGHT / wavelength
 
 
 def wafer_area(diameter: float) -> float:
     """Usable area of a circular wafer, pi*(D/2)**2."""
-    if diameter <= 0.0:
-        raise ValueError(f"diameter must be > 0, got {diameter}")
+    check_number("diameter", diameter, gt=0.0)
     return math.pi * (0.5 * diameter) ** 2
 
 
 def element_width_from_area(area: float, n_elements: float) -> float:
     """Width of one element when n of them tile ``area``: sqrt(area/n)."""
-    if area <= 0.0:
-        raise ValueError(f"area must be > 0, got {area}")
-    if n_elements < 1:
-        raise ValueError(f"n_elements must be >= 1, got {n_elements}")
+    check_number("area", area, gt=0.0)
+    check_number("n_elements", n_elements, ge=1)
     return math.sqrt(area / n_elements)
 
 
@@ -140,22 +117,22 @@ def synapse_width_from_wafer(wafer_diameter: float, n_synapses: float) -> float:
 
 def node_area(degree: float, profile: HardwareProfile) -> float:
     """Area of one node with ``degree`` synapses (affine plus routing)."""
-    if degree < 0:
-        raise ValueError(f"degree must be >= 0, got {degree}")
+    check_number("degree", degree, ge=0)
     base = profile.neuron_base_area + degree * profile.synapse_area
     return base * (1.0 + profile.routing_overhead_fraction)
 
 
 def mean_degree(dist, n_total: float) -> float:
-    """Mean degree of a distribution, or a bare number for a fixed degree."""
+    """Mean degree of a distribution, or a bare number for a fixed degree.
+
+    ``n_total`` must be at least 1 whether or not the law reads it.
+    """
+    check_number("n_total", n_total, ge=1)
     if isinstance(dist, PowerLaw):
         return powerlaw_mean_degree(dist, n_total)
     if isinstance(dist, RandomGaussian):
         return avg_degree_random(dist.n_total, dist.avg_path_length)
-    k = float(dist)
-    if k < 0:
-        raise ValueError(f"degree must be >= 0, got {k}")
-    return k
+    return float(check_number("degree", dist, ge=0))
 
 
 def network_area(n_total: float, dist, profile: HardwareProfile) -> float:
@@ -164,8 +141,6 @@ def network_area(n_total: float, dist, profile: HardwareProfile) -> float:
     A(k) is affine in k, so the expectation is A(mean degree) exactly;
     a bare number for ``dist`` gives the degenerate single-degree case.
     """
-    if n_total < 1:
-        raise ValueError(f"n_total must be >= 1, got {n_total}")
     return n_total * node_area(mean_degree(dist, n_total), profile)
 
 
@@ -184,10 +159,8 @@ def neuron_power(degree: float, frequency: float,
     energy into drawn energy. Power density is referred to the node's
     own footprint.
     """
-    if not (math.isfinite(degree) and degree >= 1):
-        raise ValueError(f"degree must be finite and >= 1, got {degree}")
-    if not (math.isfinite(frequency) and frequency > 0.0):
-        raise ValueError(f"frequency must be finite and > 0, got {frequency}")
+    check_number("degree", degree, ge=1)
+    check_number("frequency", frequency, gt=0.0)
     pulse = _pulse_energy(degree, profile)
     device = pulse * frequency
     wall = device * profile.cooling_overhead
@@ -206,13 +179,9 @@ def system_power_density(n_total: float, dist, mean_rate: float,
     degree the density does not depend on network size; natural-cutoff
     power laws drift only through their slowly growing mean degree.
     """
-    if mean_rate <= 0.0:
-        raise ValueError(f"mean_rate must be > 0, got {mean_rate}")
-    k = mean_degree(dist, n_total)
-    if k <= 0.0:
-        raise ValueError("mean degree must be > 0 for a power estimate")
+    check_number("mean_rate", mean_rate, gt=0.0)
+    k = check_number("mean degree", mean_degree(dist, n_total), gt=0.0)
     per_node = _pulse_energy(k, profile) * mean_rate
-    area = network_area(n_total, dist, profile)
-    if area <= 0.0:
-        raise ValueError("network area must be > 0")
+    area = check_number("network area", network_area(n_total, dist, profile),
+                        gt=0.0)
     return n_total * per_node / area

@@ -8,10 +8,10 @@ single oscillation can bind together.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .constants import VELOCITY_CEILING
+from .errors import check_integer, check_number
 
 __all__ = [
     "Platform",
@@ -45,17 +45,9 @@ class Platform:
     label: str = ""
 
     def __post_init__(self):
-        if not 0.0 < self.signal_velocity <= VELOCITY_CEILING:
-            raise ValueError(
-                f"signal_velocity must be in (0, {VELOCITY_CEILING}] m/s, "
-                f"got {self.signal_velocity}"
-            )
-        if not (math.isfinite(self.element_width)
-                and self.element_width > 0.0):
-            raise ValueError(
-                "element_width must be finite and > 0, "
-                f"got {self.element_width}"
-            )
+        check_number("signal_velocity", self.signal_velocity,
+                     gt=0.0, le=VELOCITY_CEILING)
+        check_number("element_width", self.element_width, gt=0.0)
         if self.element_kind not in _ELEMENT_KINDS:
             raise ValueError(
                 f"element_kind must be one of {_ELEMENT_KINDS}, "
@@ -71,14 +63,8 @@ class PoolQuery:
     dimension: int = 2
 
     def __post_init__(self):
-        if not (math.isfinite(self.frequency) and self.frequency > 0.0):
-            raise ValueError(
-                f"frequency must be finite and > 0, got {self.frequency}"
-            )
-        if self.dimension not in (1, 2, 3):
-            raise ValueError(
-                f"dimension must be 1, 2 or 3, got {self.dimension}"
-            )
+        check_number("frequency", self.frequency, gt=0.0)
+        check_integer("dimension", self.dimension, ge=1, le=3)
 
 
 @dataclass(frozen=True)
@@ -96,8 +82,7 @@ def pool_diameter(platform: Platform, frequency: float) -> float:
     The limit is one-way: a pulse must reach its target within one
     period; no reply is required.
     """
-    if frequency <= 0.0:
-        raise ValueError(f"frequency must be > 0, got {frequency}")
+    check_number("frequency", frequency, gt=0.0)
     return platform.signal_velocity / frequency
 
 
@@ -125,8 +110,7 @@ def pool_ratio(photonic: Platform, biological: Platform,
     kinds (synapse-sized vs neuron-sized widths) is rejected because the
     ratio is only meaningful like for like.
     """
-    if dimension not in (1, 2, 3):
-        raise ValueError(f"dimension must be 1, 2 or 3, got {dimension}")
+    check_integer("dimension", dimension, ge=1, le=3)
     if photonic.element_kind != biological.element_kind:
         raise ValueError(
             f"element_kind mismatch: {photonic.element_kind!r} vs "
@@ -140,8 +124,7 @@ def pool_ratio(photonic: Platform, biological: Platform,
 
 def max_frequency(platform: Platform, extent: float) -> float:
     """Highest frequency whose pool still spans ``extent``: f = v/extent."""
-    if extent <= 0.0:
-        raise ValueError(f"extent must be > 0, got {extent}")
+    check_number("extent", extent, gt=0.0)
     return platform.signal_velocity / extent
 
 
@@ -154,8 +137,7 @@ def is_integrable(platform: Platform, separation: float,
     point; inverting through :func:`max_frequency` is exact only to
     rounding.
     """
-    if separation <= 0.0:
-        raise ValueError(f"separation must be > 0, got {separation}")
+    check_number("separation", separation, gt=0.0)
     return separation <= pool_diameter(platform, frequency)
 
 

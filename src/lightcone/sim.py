@@ -28,7 +28,12 @@ from typing import NamedTuple, Union
 
 import numpy as np
 
-from .errors import EventQueueOverflowError
+from .errors import (
+    EventQueueOverflowError,
+    check_each,
+    check_integer,
+    check_number,
+)
 from .graphs import SampledGraph
 
 __all__ = [
@@ -90,57 +95,33 @@ class SimConfig:
     record_audit: bool = False
 
     def __post_init__(self):
+        check_each("positions", self.positions)
         pos = np.atleast_2d(np.asarray(self.positions, dtype=float))
         if pos.ndim != 2 or pos.shape[0] < 1 or pos.shape[1] not in (1, 2, 3):
             raise ValueError(
                 f"positions must be an (n, dim) array with dim in 1..3, "
                 f"got shape {pos.shape}"
             )
-        if not np.all(np.isfinite(pos)):
-            raise ValueError("positions must be finite")
         object.__setattr__(self, "positions", pos)
-        for name in ("signal_velocity", "natural_period", "duration"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0.0):
-                raise ValueError(f"{name} must be finite and > 0, got {value}")
-        if self.duration < self.natural_period:
-            raise ValueError(
-                f"duration ({self.duration}) must be >= one natural period "
-                f"({self.natural_period})"
-            )
-        if not 0.0 <= self.coupling_strength <= 0.5:
-            raise ValueError(
-                f"coupling_strength must be in [0, 0.5], "
-                f"got {self.coupling_strength}"
-            )
-        if not 0.0 <= self.refractory_fraction < 0.5:
-            raise ValueError(
-                f"refractory_fraction must be in [0, 0.5), "
-                f"got {self.refractory_fraction}"
-            )
-        if not 0.0 < self.lock_threshold <= 1.0:
-            raise ValueError(
-                f"lock_threshold must be in (0, 1], got {self.lock_threshold}"
-            )
-        for name, minimum in (("max_events", 1), ("seed", 0)):
-            value = getattr(self, name)
-            if (isinstance(value, bool)
-                    or not isinstance(value, (int, np.integer))
-                    or value < minimum):
-                raise ValueError(
-                    f"{name} must be an integer >= {minimum}, got {value!r}"
-                )
+        check_number("signal_velocity", self.signal_velocity, gt=0.0)
+        check_number("natural_period", self.natural_period, gt=0.0)
+        check_number("duration", self.duration, ge=self.natural_period)
+        check_number("coupling_strength", self.coupling_strength,
+                     ge=0.0, le=0.5)
+        check_number("refractory_fraction", self.refractory_fraction,
+                     ge=0.0, lt=0.5)
+        check_number("lock_threshold", self.lock_threshold, gt=0.0, le=1.0)
+        check_integer("max_events", self.max_events, ge=1)
+        check_integer("seed", self.seed, ge=0)
         n = pos.shape[0]
         if self.initial_phases is not None:
+            check_each("initial_phases", self.initial_phases,
+                        ge=0.0, lt=self.natural_period)
             phases = np.asarray(self.initial_phases, dtype=float)
             if phases.shape != (n,):
                 raise ValueError(
                     f"initial_phases must have shape ({n},), "
                     f"got {phases.shape}"
-                )
-            if np.any(phases < 0.0) or np.any(phases >= self.natural_period):
-                raise ValueError(
-                    "initial_phases must lie in [0, natural_period)"
                 )
             object.__setattr__(self, "initial_phases", phases)
         if isinstance(self.topology, SampledGraph):
@@ -434,6 +415,7 @@ def pool_sweep(base: SimConfig, diameters: list[float],
     """
     if len(diameters) < 1:
         raise ValueError("at least one diameter is required")
+    check_each("diameters", diameters, gt=0.0)
     if len(seeds) < 1:
         raise ValueError("at least one seed is required")
     n = base.n_nodes
@@ -449,8 +431,6 @@ def pool_sweep(base: SimConfig, diameters: list[float],
 
     rows = []
     for diameter in diameters:
-        if diameter <= 0.0:
-            raise ValueError(f"diameters must be > 0, got {diameter}")
         values = []
         for seed in seeds:
             unit, phases = placements[seed]

@@ -260,3 +260,25 @@ def test_area_and_power_share_the_degree_law(law):
     _, area_rows = parse_csv(area.stdout)
     _, power_rows = parse_csv(power.stdout)
     assert area_rows == [["1000000", dict(power_rows)["network_area_m2"]]]
+
+
+@pytest.mark.parametrize("flag, value, args", [
+    ("--points", "0", ("pool", "--f-min", "1", "--f-max", "10")),
+    ("--points", "-2", ("pool", "--f-min", "1", "--f-max", "10")),
+    ("--per-decade", "0", ("degree", "--random")),
+    ("--per-decade", "-5", ("degree", "--random")),
+    ("--n", "4", ("pool", "--f", "6")),
+    ("--n-seeds", "0", ("sweep", "--config", "{config}")),
+    ("--seed", "-1", ("simulate", "--config", "{config}")),
+])
+def test_bad_whole_number_flag_is_usage_error(tmp_path: Path, flag, value,
+                                               args):
+    config_path = tmp_path / "sim.json"
+    config_path.write_text(json.dumps(SIM_CONFIG))
+    args = [a.format(config=config_path) for a in args]
+    result = run_cli(*args, flag, value)
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert "Traceback" not in result.stderr
+    errors = [l for l in result.stderr.splitlines() if "error:" in l]
+    assert len(errors) == 1 and f"argument {flag}:" in errors[0]

@@ -106,6 +106,11 @@ class TestBuilders:
         b = build_sim_config(config, seed_override=2)
         assert not np.array_equal(a.positions, b.positions)
 
+    def test_negative_seed_override_rejected(self, tmp_path):
+        config = load_experiment_config(write_config(tmp_path, VALID))
+        with pytest.raises(ConfigError, match="seed"):
+            build_sim_config(config, seed_override=-1)
+
     def test_explicit_positions(self, tmp_path):
         payload = json.loads(json.dumps(VALID))
         payload["simulation"].pop("n_nodes")

@@ -21,7 +21,7 @@ from lightcone import (
     sample_graph,
     sample_powerlaw_degrees,
 )
-from lightcone.graphs import _bfs_distance_sums
+from lightcone.graphs import _bfs_distance_sums, _components
 from pathlen_reference import (
     reference_distance_sums,
     reference_measure_avg_path_length,
@@ -348,7 +348,8 @@ class TestMeasureAvgPathLength:
         n = graph.n_nodes
         sources = (np.arange(n) if count == "all"
                    else rng.integers(0, n, size=count))
-        sums = _bfs_distance_sums(graph.adjacency, sources)
+        sums = _bfs_distance_sums(graph.adjacency, sources,
+                                  _components(graph.adjacency))
         assert sums.dtype == np.int64
         np.testing.assert_array_equal(
             sums, reference_distance_sums(graph.adjacency, sources))

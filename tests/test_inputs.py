@@ -1,0 +1,117 @@
+"""One table over the public numeric surface of graphs, hardware, pool and sim.
+
+Every numeric parameter, given NaN, an infinity, a bool or a string,
+must raise a ValueError whose message starts with that parameter's name
+(an element of a list is named like ``positions[0, 1]``).
+"""
+import dataclasses
+import math
+
+import pytest
+
+from lightcone import (
+    HardwareProfile,
+    Platform,
+    PoolQuery,
+    PowerLaw,
+    RandomGaussian,
+    SimConfig,
+    avg_degree_random,
+    element_width_from_area,
+    is_integrable,
+    max_frequency,
+    network_area,
+    neuron_power,
+    node_area,
+    path_length_random,
+    photon_energy,
+    pool_area,
+    pool_diameter,
+    pool_ratio,
+    pool_sweep,
+    powerlaw_cutoff,
+    powerlaw_max_degree,
+    powerlaw_mean_degree,
+    sample_graph,
+    system_power_density,
+    wafer_area,
+)
+from lightcone.hardware import mean_degree
+
+BAD = [math.nan, math.inf, -math.inf, True, "1"]
+
+WAFER = HardwareProfile.wafer_300mm()
+LIGHT = Platform(signal_velocity=3.0e8, element_width=1.9e-5,
+                 element_kind="synapse")
+CORTEX = Platform(signal_velocity=2.0, element_width=2.4e-8,
+                  element_kind="synapse")
+LAW = PowerLaw(alpha=2.5)
+SIM = dict(positions=[[0.0, 0.0], [0.5, 0.0]], signal_velocity=1.0,
+           natural_period=1.0, duration=2.0)
+SIM_BASE = SimConfig(**SIM)
+
+
+def sim_with(**fields):
+    return SimConfig(**{**SIM, **fields})
+
+
+# (parameter name as the message gives it, call with the bad value x)
+SURFACE = [
+    ("n_total", lambda x: RandomGaussian(x, 2.0)),
+    ("avg_path_length", lambda x: RandomGaussian(100, x)),
+    ("alpha", lambda x: PowerLaw(x)),
+    ("k_min", lambda x: PowerLaw(2.0, k_min=x)),
+    ("k_max", lambda x: PowerLaw(2.0, k_max=x)),
+    ("n_total", lambda x: avg_degree_random(x, 2.0)),
+    ("avg_path_length", lambda x: avg_degree_random(1e4, x)),
+    ("n_total", lambda x: path_length_random(x, 10.0)),
+    ("avg_degree", lambda x: path_length_random(1e4, x)),
+    ("n_total", lambda x: powerlaw_cutoff(LAW, x)),
+    ("n_total", lambda x: powerlaw_mean_degree(LAW, x)),
+    ("n_total", lambda x: powerlaw_max_degree(LAW, x)),
+    ("n_total", lambda x: sample_graph(RandomGaussian(100, 2.0), x, 0)),
+    ("wavelength", lambda x: photon_energy(x)),
+    ("diameter", lambda x: wafer_area(x)),
+    ("area", lambda x: element_width_from_area(x, 10)),
+    ("n_elements", lambda x: element_width_from_area(1.0, x)),
+    ("degree", lambda x: node_area(x, WAFER)),
+    # A bare number in the distribution slot is a fixed degree.
+    ("degree", lambda x: mean_degree(x, 1e6)),
+    ("n_total", lambda x: mean_degree(200.0, x)),
+    ("n_total", lambda x: network_area(x, 200.0, WAFER)),
+    ("degree", lambda x: network_area(1e6, x, WAFER)),
+    ("degree", lambda x: neuron_power(x, 1e6, WAFER)),
+    ("frequency", lambda x: neuron_power(10, x, WAFER)),
+    ("n_total", lambda x: system_power_density(x, 200.0, 1e6, WAFER)),
+    ("degree", lambda x: system_power_density(1e6, x, 1e6, WAFER)),
+    ("mean_rate", lambda x: system_power_density(1e6, 200.0, x, WAFER)),
+    *[(f.name, lambda x, f=f: dataclasses.replace(WAFER, **{f.name: x}))
+      for f in dataclasses.fields(HardwareProfile)],
+    ("signal_velocity", lambda x: Platform(x, 1e-5)),
+    ("element_width", lambda x: Platform(3e8, x)),
+    ("frequency", lambda x: PoolQuery(x)),
+    ("dimension", lambda x: PoolQuery(1.0, x)),
+    ("frequency", lambda x: pool_diameter(LIGHT, x)),
+    ("frequency", lambda x: pool_area(LIGHT, x)),
+    ("dimension", lambda x: pool_ratio(LIGHT, CORTEX, x)),
+    ("extent", lambda x: max_frequency(LIGHT, x)),
+    ("separation", lambda x: is_integrable(LIGHT, x, 1.0)),
+    ("frequency", lambda x: is_integrable(LIGHT, 1.0, x)),
+    *[(name, lambda x, name=name: sim_with(**{name: x}))
+      for name in ("signal_velocity", "natural_period", "duration",
+                   "coupling_strength", "refractory_fraction",
+                   "lock_threshold", "max_events", "seed")],
+    ("positions", lambda x: sim_with(positions=[[0.0, 0.0], [0.5, x]])),
+    ("initial_phases", lambda x: sim_with(initial_phases=[0.0, x])),
+    ("diameters", lambda x: pool_sweep(SIM_BASE, [1.0, x], [0])),
+]
+
+
+@pytest.mark.parametrize("bad", BAD, ids=repr)
+@pytest.mark.parametrize("name, call", SURFACE,
+                         ids=[f"{i}-{name}" for i, (name, _) in
+                              enumerate(SURFACE)])
+def test_bad_number_rejected_by_name(name, call, bad):
+    with pytest.raises(ValueError) as info:
+        call(bad)
+    assert str(info.value).split(" ")[0].split("[")[0] == name
