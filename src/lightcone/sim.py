@@ -18,6 +18,25 @@ and pending natural fires that a phase advance invalidates are skipped
 through per-node version counters, so a run is a pure function of its
 configuration. The refractory window bounds each node's firing rate by
 1/(refractory_fraction * T), which keeps the event count finite.
+
+Event queue
+-----------
+A fire puts two entries on the heap: its next natural fire and one
+delivery cursor, not one entry per neighbour. At setup each source's
+neighbours are sorted by (delay, position in the neighbour list). A
+fire at t reserves the sequence numbers seq .. seq + fan: seq for its
+natural fire and seq + 1 + p for the delivery to the neighbour at
+position p. The cursor's head is the next delivery in that order, keyed
+(t + delay, source, its reserved number); each pop emits it and
+advances the cursor in place, so the heap holds one entry per fire in
+flight and pops events in exactly the order of one entry per delivery.
+One case needs care: two distinct delays a < b of one source may round
+to one arrival time, t + a == t + b, and then the sequence numbers, not
+the delays, decide. A source whose sorted delays hold such a pair
+(closer than one ulp of duration + the longest delay) in reverse
+neighbour order is flagged at setup, and its fires order their
+deliveries by (t + delay, position) instead. Uncoupled runs schedule no
+deliveries and build no delays.
 """
 from __future__ import annotations
 
@@ -55,8 +74,7 @@ DEFAULT_LOCK_THRESHOLD = 0.9
 DEFAULT_ANALYSIS_PERIODS = 10
 DEFAULT_MAX_EVENTS = 100_000_000
 
-_FIRE = 0
-_DELIVER = 1
+_FIRE = -1  # the cursor slot of a fire entry; cursors hold k >= 0
 
 
 class AuditRecord(NamedTuple):
@@ -210,14 +228,68 @@ def pairwise_delays(positions: np.ndarray, signal_velocity: float) -> np.ndarray
     return np.sqrt((diff ** 2).sum(axis=-1)) / signal_velocity
 
 
-def _neighbours(config: SimConfig) -> list[np.ndarray]:
-    n = config.n_nodes
+def _neighbour_lists(config: SimConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Every source's neighbours as CSR ``(indptr, indices)``."""
     if isinstance(config.topology, SampledGraph):
         adj = config.topology.adjacency
-        return [adj.indices[adj.indptr[i]:adj.indptr[i + 1]].astype(np.int64)
-                for i in range(n)]
-    everyone = np.arange(n, dtype=np.int64)
-    return [np.delete(everyone, i) for i in range(n)]
+        return adj.indptr, adj.indices
+    n = config.n_nodes
+    off_diagonal = np.nonzero(~np.eye(n, dtype=bool))[1]
+    return np.arange(n + 1) * (n - 1), off_diagonal
+
+
+def _has_rounding_tie(delays: list[float], ranks: list[int],
+                      tol: float) -> bool:
+    """Whether two distinct sorted delays within ``tol`` are out of rank order."""
+    for a in range(len(delays)):
+        b = a + 1
+        while b < len(delays) and delays[b] - delays[a] <= tol:
+            if delays[b] != delays[a] and ranks[b] < ranks[a]:
+                return True
+            b += 1
+    return False
+
+
+def _lanes(config: SimConfig) -> tuple[list[tuple], list[bool]]:
+    """Each source's deliveries in (delay, neighbour position) order.
+
+    A lane is ``(delays, targets, ranks, fan)``, three lists and their
+    length; ``ranks[k]`` is one plus the target's position in the
+    source's neighbour list, the offset of its sequence number in a
+    fire's reserved block. A source is *tied* when two of its distinct
+    delays could round to one arrival time and its lane would then order
+    them against their sequence numbers; its fires re-sort their lane by
+    arrival time.
+    """
+    delays = pairwise_delays(config.positions, config.signal_velocity)
+    indptr, indices = _neighbour_lists(config)
+    fans = np.diff(indptr)
+    rows = np.repeat(np.arange(config.n_nodes), fans)
+    ranks = np.arange(1, len(indices) + 1) - indptr[rows]
+    edge_delays = delays[rows, indices]
+    order = np.lexsort((ranks, edge_delays, rows))
+    sorted_delays = edge_delays[order]
+    d, tg, rk = (sorted_delays.tolist(), indices[order].tolist(),
+                 ranks[order].tolist())
+    lanes = [(d[a:b], tg[a:b], rk[a:b], b - a)
+             for a, b in zip(indptr[:-1].tolist(), indptr[1:].tolist())]
+    # Every popped arrival is at most duration + the longest delay, so two
+    # delays farther apart than one ulp there never round to one time.
+    tol = math.ulp(config.duration + float(edge_delays.max(initial=0.0)))
+    gaps = np.diff(sorted_delays)
+    close = (gaps > 0.0) & (gaps <= tol) & (rows[1:] == rows[:-1])
+    tied = [False] * config.n_nodes
+    for i in np.unique(rows[1:][close]).tolist():
+        tied[i] = _has_rounding_tie(lanes[i][0], lanes[i][2], tol)
+    return lanes, tied
+
+
+def _arrival_order(lane: tuple, t: float) -> tuple:
+    """A tied source's lane for a fire at ``t``: by (t + delay, rank)."""
+    delays, targets, ranks, fan = lane
+    order = sorted(range(fan), key=lambda k: (t + delays[k], ranks[k]))
+    return ([delays[k] for k in order], [targets[k] for k in order],
+            [ranks[k] for k in order], fan)
 
 
 def run(config: SimConfig) -> SpikeTrace:
@@ -232,8 +304,11 @@ def run(config: SimConfig) -> SpikeTrace:
     eps_dt = config.coupling_strength * T
     refractory = config.refractory_fraction * T
     duration = config.duration
-    delays = pairwise_delays(config.positions, config.signal_velocity)
-    neighbours = _neighbours(config)
+    # With zero coupling a delivery can never change any state, so the
+    # (identical) trace is produced without scheduling deliveries at all.
+    couple = eps_dt > 0.0
+    if couple:
+        lanes, tied = _lanes(config)
     phases = config.resolved_phases()
 
     # phi_i(t) = t - origin[i]; the pending natural fire sits at origin + T.
@@ -242,20 +317,22 @@ def run(config: SimConfig) -> SpikeTrace:
     version = [0] * n
     audit: list[AuditRecord] | None = [] if config.record_audit else None
 
-    heap: list[tuple[float, int, int, int, int, int]] = []
-    seq = 0
-    for i in range(n):
-        heap.append((origin[i] + T, i, seq, _FIRE, i, 0))
-        seq += 1
+    # A fire entry is (time, node, seq, _FIRE, version, 0, None); a
+    # delivery cursor is (time, source, seq, k, emit time, base, lane),
+    # whose head is the lane's k-th delivery of the fire that reserved the
+    # sequence numbers base .. base + fan. seq is unique, so tuple
+    # comparison never passes it.
+    heap: list[tuple] = [(origin[i] + T, i, i, _FIRE, 0, 0, None)
+                         for i in range(n)]
     heapq.heapify(heap)
+    seq = n
 
     fire_times: list[float] = []
     fire_nodes: list[int] = []
     pops = 0
     max_events = config.max_events
-    # With zero coupling a delivery can never change any state, so the
-    # (identical) trace is produced without scheduling deliveries at all.
-    couple = eps_dt > 0.0
+    heappush, heappop, heapreplace = (heapq.heappush, heapq.heappop,
+                                      heapq.heapreplace)
 
     def fire(i: int, t: float, natural: bool = True) -> None:
         nonlocal seq
@@ -267,19 +344,21 @@ def run(config: SimConfig) -> SpikeTrace:
         last_fire[i] = t
         origin[i] = t
         version[i] += 1
-        heapq.heappush(heap, (t + T, i, seq, _FIRE, i, version[i]))
+        heappush(heap, (t + T, i, seq, _FIRE, version[i], 0, None))
+        base = seq
         seq += 1
         if couple:
-            row = delays[i]
-            for j in neighbours[i]:
-                heapq.heappush(heap, (t + row[j], i, seq, _DELIVER, int(j), t))
-                seq += 1
+            lane = lanes[i]
+            if tied[i]:
+                lane = _arrival_order(lane, t)
+            delays, _, ranks, fan = lane
+            if fan:
+                heappush(heap, (t + delays[0], i, base + ranks[0], 0, t,
+                                base, lane))
+                seq += fan
 
     while heap:
-        # The last slot holds the fire version for _FIRE events and the
-        # exact emit time for _DELIVER events; seq uniqueness keeps tuple
-        # comparison from ever reaching it.
-        t, src, _, kind, target, extra = heapq.heappop(heap)
+        t, src, _, k, emit, base, lane = heap[0]
         if t > duration:
             break
         pops += 1
@@ -288,12 +367,20 @@ def run(config: SimConfig) -> SpikeTrace:
                 max_events, config.coupling_strength,
                 config.refractory_fraction,
             )
-        if kind == _FIRE:
-            if extra != version[target]:
-                continue  # superseded by a phase advance or induced fire
-            fire(target, t)
+        if k == _FIRE:
+            heappop(heap)
+            if emit == version[src]:
+                fire(src, t)
+            # else: superseded by a phase advance or induced fire
             continue
-        emit = extra
+        delays, targets, ranks, fan = lane
+        target = targets[k]
+        k += 1
+        if k < fan:
+            heapreplace(heap, (emit + delays[k], src, base + ranks[k], k,
+                               emit, base, lane))
+        else:
+            heappop(heap)
         if t - last_fire[target] < refractory:
             if audit is not None:
                 audit.append(
@@ -311,10 +398,8 @@ def run(config: SimConfig) -> SpikeTrace:
         else:
             origin[target] = t - advanced
             version[target] += 1
-            heapq.heappush(
-                heap, (origin[target] + T, target, seq, _FIRE, target,
-                       version[target])
-            )
+            heappush(heap, (origin[target] + T, target, seq, _FIRE,
+                            version[target], 0, None))
             seq += 1
             if audit is not None:
                 audit.append(
@@ -354,9 +439,10 @@ def synchrony_metrics(trace: SpikeTrace, window: float | None = None,
     every subsequent one-period window stays at or above the lock
     threshold, or None if none does.
 
-    Raises ValueError when the window exceeds the trace duration or
-    contains no spikes.
+    Raises ValueError when ``lock_threshold`` is outside (0, 1], or the
+    window exceeds the trace duration or contains no spikes.
     """
+    check_number("lock_threshold", lock_threshold, gt=0.0, le=1.0)
     period = trace.natural_period
     if window is None:
         window = min(DEFAULT_ANALYSIS_PERIODS * period, trace.duration)
@@ -418,6 +504,8 @@ def pool_sweep(base: SimConfig, diameters: list[float],
     check_each("diameters", diameters, gt=0.0)
     if len(seeds) < 1:
         raise ValueError("at least one seed is required")
+    for i, seed in enumerate(seeds):
+        check_integer(f"seeds[{i}]", seed, ge=0)
     n = base.n_nodes
     T = base.natural_period
     vt = base.signal_velocity * T

@@ -32,7 +32,9 @@ from lightcone import (
     powerlaw_cutoff,
     powerlaw_max_degree,
     powerlaw_mean_degree,
+    run,
     sample_graph,
+    synchrony_metrics,
     system_power_density,
     wafer_area,
 )
@@ -49,6 +51,7 @@ LAW = PowerLaw(alpha=2.5)
 SIM = dict(positions=[[0.0, 0.0], [0.5, 0.0]], signal_velocity=1.0,
            natural_period=1.0, duration=2.0)
 SIM_BASE = SimConfig(**SIM)
+TRACE = run(SIM_BASE)
 
 
 def sim_with(**fields):
@@ -104,6 +107,8 @@ SURFACE = [
     ("positions", lambda x: sim_with(positions=[[0.0, 0.0], [0.5, x]])),
     ("initial_phases", lambda x: sim_with(initial_phases=[0.0, x])),
     ("diameters", lambda x: pool_sweep(SIM_BASE, [1.0, x], [0])),
+    ("seeds", lambda x: pool_sweep(SIM_BASE, [1.0], [0, x])),
+    ("lock_threshold", lambda x: synchrony_metrics(TRACE, lock_threshold=x)),
 ]
 
 

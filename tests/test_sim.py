@@ -378,6 +378,12 @@ class TestSynchronyMetrics:
         assert default.convergence_time == explicit.convergence_time
         assert np.array_equal(default.per_node_phase, explicit.per_node_phase)
 
+    @pytest.mark.parametrize("threshold", [0.0, 1.5, math.nan])
+    def test_lock_threshold_out_of_range_rejected(self, threshold):
+        trace = run(two_node_config(0.1, duration=5.0))
+        with pytest.raises(ValueError, match="^lock_threshold"):
+            synchrony_metrics(trace, lock_threshold=threshold)
+
     def test_window_larger_than_duration_rejected(self):
         trace = run(two_node_config(0.1, duration=5.0))
         with pytest.raises(ValueError):

@@ -77,3 +77,8 @@ class TestPoolSweep:
             pool_sweep(base_config(), [0.1], [])
         with pytest.raises(ValueError):
             pool_sweep(base_config(), [-1.0], [0])
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, np.float64(2.0)])
+    def test_bad_seed_rejected_by_name(self, seed):
+        with pytest.raises(ValueError, match=r"^seeds\[1\]"):
+            pool_sweep(base_config(), [0.1], [0, seed])
