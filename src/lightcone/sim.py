@@ -23,20 +23,20 @@ Event queue
 -----------
 A fire puts two entries on the heap: its next natural fire and one
 delivery cursor, not one entry per neighbour. At setup each source's
-neighbours are sorted by (delay, position in the neighbour list). A
-fire at t reserves the sequence numbers seq .. seq + fan: seq for its
-natural fire and seq + 1 + p for the delivery to the neighbour at
-position p. The cursor's head is the next delivery in that order, keyed
-(t + delay, source, its reserved number); each pop emits it and
-advances the cursor in place, so the heap holds one entry per fire in
-flight and pops events in exactly the order of one entry per delivery.
-One case needs care: two distinct delays a < b of one source may round
-to one arrival time, t + a == t + b, and then the sequence numbers, not
-the delays, decide. A source whose sorted delays hold such a pair
-(closer than one ulp of duration + the longest delay) in reverse
-neighbour order is flagged at setup, and its fires order their
-deliveries by (t + delay, position) instead. Uncoupled runs schedule no
-deliveries and build no delays.
+neighbours are sorted by (delay, position in the neighbour list); each
+delay comes from the edge's two endpoints, so memory follows the edge
+count. A fire at t takes one sequence number for both entries, keyed
+(t + T, source, seq, _FIRE) and (t + delay, source, seq, k) for the
+cursor's head, its k-th delivery. _FIRE = -1 puts a fire's own entry
+first; seq grows in push order and k follows neighbour position among
+equal arrivals, so pops come in exactly the order of one entry per
+delivery. Each pop advances the cursor in place. One case needs care:
+distinct delays a < b of one source may round to one arrival time,
+t + a == t + b, where position, not delay, decides. A source whose
+sorted delays hold such a pair (closer than one ulp of duration + the
+longest delay) in reverse position order is flagged at setup and keeps
+its ranks; its fires order their deliveries by (t + delay, rank).
+Uncoupled runs schedule no deliveries and build no delays.
 """
 from __future__ import annotations
 
@@ -74,7 +74,9 @@ DEFAULT_LOCK_THRESHOLD = 0.9
 DEFAULT_ANALYSIS_PERIODS = 10
 DEFAULT_MAX_EVENTS = 100_000_000
 
-_FIRE = -1  # the cursor slot of a fire entry; cursors hold k >= 0
+# The cursor slot of a fire entry; cursors hold k >= 0, so a fire's
+# natural-fire entry sorts ahead of its own cursor at one time.
+_FIRE = -1
 
 
 class AuditRecord(NamedTuple):
@@ -221,11 +223,15 @@ class SweepResult:
     seeds: tuple[int, ...]
 
 
+def _delays(diff: np.ndarray, signal_velocity: float) -> np.ndarray:
+    """Delays |diff| / v over the last axis of position differences."""
+    return np.sqrt((diff ** 2).sum(axis=-1)) / signal_velocity
+
+
 def pairwise_delays(positions: np.ndarray, signal_velocity: float) -> np.ndarray:
     """Propagation delay matrix dist(i, j) / v; shared with the tests."""
     pos = np.atleast_2d(np.asarray(positions, dtype=float))
-    diff = pos[:, None, :] - pos[None, :, :]
-    return np.sqrt((diff ** 2).sum(axis=-1)) / signal_velocity
+    return _delays(pos[:, None, :] - pos[None, :, :], signal_velocity)
 
 
 def _neighbour_lists(config: SimConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -250,46 +256,44 @@ def _has_rounding_tie(delays: list[float], ranks: list[int],
     return False
 
 
-def _lanes(config: SimConfig) -> tuple[list[tuple], list[bool]]:
+def _lanes(config: SimConfig) -> tuple[list[tuple], dict[int, list[int]]]:
     """Each source's deliveries in (delay, neighbour position) order.
 
-    A lane is ``(delays, targets, ranks, fan)``, three lists and their
-    length; ``ranks[k]`` is one plus the target's position in the
-    source's neighbour list, the offset of its sequence number in a
-    fire's reserved block. A source is *tied* when two of its distinct
-    delays could round to one arrival time and its lane would then order
-    them against their sequence numbers; its fires re-sort their lane by
-    arrival time.
+    A lane is ``(delays, targets, fan)``: two lists and their length,
+    each delay computed from the edge's two endpoints, so no N x N matrix
+    is built. A source is *tied* when two of its distinct delays could
+    round to one arrival time out of neighbour-position order. Only tied
+    sources keep ranks (their CSR edge indices, which order like the
+    positions), and their fires re-sort the lane by arrival time.
     """
-    delays = pairwise_delays(config.positions, config.signal_velocity)
+    pos = config.positions
     indptr, indices = _neighbour_lists(config)
-    fans = np.diff(indptr)
-    rows = np.repeat(np.arange(config.n_nodes), fans)
-    ranks = np.arange(1, len(indices) + 1) - indptr[rows]
-    edge_delays = delays[rows, indices]
-    order = np.lexsort((ranks, edge_delays, rows))
+    rows = np.repeat(np.arange(config.n_nodes), np.diff(indptr))
+    edge_delays = _delays(pos[rows] - pos[indices], config.signal_velocity)
+    # lexsort is stable: equal delays keep their neighbour-list order.
+    order = np.lexsort((edge_delays, rows))
     sorted_delays = edge_delays[order]
-    d, tg, rk = (sorted_delays.tolist(), indices[order].tolist(),
-                 ranks[order].tolist())
-    lanes = [(d[a:b], tg[a:b], rk[a:b], b - a)
+    d, tg = sorted_delays.tolist(), indices[order].tolist()
+    lanes = [(d[a:b], tg[a:b], b - a)
              for a, b in zip(indptr[:-1].tolist(), indptr[1:].tolist())]
     # Every popped arrival is at most duration + the longest delay, so two
     # delays farther apart than one ulp there never round to one time.
     tol = math.ulp(config.duration + float(edge_delays.max(initial=0.0)))
     gaps = np.diff(sorted_delays)
     close = (gaps > 0.0) & (gaps <= tol) & (rows[1:] == rows[:-1])
-    tied = [False] * config.n_nodes
+    tied = {}
     for i in np.unique(rows[1:][close]).tolist():
-        tied[i] = _has_rounding_tie(lanes[i][0], lanes[i][2], tol)
+        ranks = order[indptr[i]:indptr[i + 1]].tolist()
+        if _has_rounding_tie(lanes[i][0], ranks, tol):
+            tied[i] = ranks
     return lanes, tied
 
 
-def _arrival_order(lane: tuple, t: float) -> tuple:
+def _arrival_order(lane: tuple, ranks: list[int], t: float) -> tuple:
     """A tied source's lane for a fire at ``t``: by (t + delay, rank)."""
-    delays, targets, ranks, fan = lane
+    delays, targets, fan = lane
     order = sorted(range(fan), key=lambda k: (t + delays[k], ranks[k]))
-    return ([delays[k] for k in order], [targets[k] for k in order],
-            [ranks[k] for k in order], fan)
+    return [delays[k] for k in order], [targets[k] for k in order], fan
 
 
 def run(config: SimConfig) -> SpikeTrace:
@@ -317,12 +321,12 @@ def run(config: SimConfig) -> SpikeTrace:
     version = [0] * n
     audit: list[AuditRecord] | None = [] if config.record_audit else None
 
-    # A fire entry is (time, node, seq, _FIRE, version, 0, None); a
-    # delivery cursor is (time, source, seq, k, emit time, base, lane),
-    # whose head is the lane's k-th delivery of the fire that reserved the
-    # sequence numbers base .. base + fan. seq is unique, so tuple
-    # comparison never passes it.
-    heap: list[tuple] = [(origin[i] + T, i, i, _FIRE, 0, 0, None)
+    # A fire entry is (time, node, seq, _FIRE, version, None); a delivery
+    # cursor is (time, source, seq, k, emit time, lane), whose head is the
+    # lane's k-th delivery of the fire that took seq. A fire's entry and
+    # cursor share seq and differ in k, so (seq, k) is unique and tuple
+    # comparison never passes k.
+    heap: list[tuple] = [(origin[i] + T, i, i, _FIRE, 0, None)
                          for i in range(n)]
     heapq.heapify(heap)
     seq = n
@@ -344,21 +348,18 @@ def run(config: SimConfig) -> SpikeTrace:
         last_fire[i] = t
         origin[i] = t
         version[i] += 1
-        heappush(heap, (t + T, i, seq, _FIRE, version[i], 0, None))
-        base = seq
-        seq += 1
+        heappush(heap, (t + T, i, seq, _FIRE, version[i], None))
         if couple:
             lane = lanes[i]
-            if tied[i]:
-                lane = _arrival_order(lane, t)
-            delays, _, ranks, fan = lane
+            if i in tied:
+                lane = _arrival_order(lane, tied[i], t)
+            delays, _, fan = lane
             if fan:
-                heappush(heap, (t + delays[0], i, base + ranks[0], 0, t,
-                                base, lane))
-                seq += fan
+                heappush(heap, (t + delays[0], i, seq, 0, t, lane))
+        seq += 1
 
     while heap:
-        t, src, _, k, emit, base, lane = heap[0]
+        t, src, fire_seq, k, emit, lane = heap[0]
         if t > duration:
             break
         pops += 1
@@ -373,12 +374,12 @@ def run(config: SimConfig) -> SpikeTrace:
                 fire(src, t)
             # else: superseded by a phase advance or induced fire
             continue
-        delays, targets, ranks, fan = lane
+        delays, targets, fan = lane
         target = targets[k]
         k += 1
         if k < fan:
-            heapreplace(heap, (emit + delays[k], src, base + ranks[k], k,
-                               emit, base, lane))
+            heapreplace(heap, (emit + delays[k], src, fire_seq, k, emit,
+                               lane))
         else:
             heappop(heap)
         if t - last_fire[target] < refractory:
@@ -399,7 +400,7 @@ def run(config: SimConfig) -> SpikeTrace:
             origin[target] = t - advanced
             version[target] += 1
             heappush(heap, (origin[target] + T, target, seq, _FIRE,
-                            version[target], 0, None))
+                            version[target], None))
             seq += 1
             if audit is not None:
                 audit.append(
@@ -440,16 +441,13 @@ def synchrony_metrics(trace: SpikeTrace, window: float | None = None,
     threshold, or None if none does.
 
     Raises ValueError when ``lock_threshold`` is outside (0, 1], or the
-    window exceeds the trace duration or contains no spikes.
+    window is outside (0, duration] or contains no spikes.
     """
     check_number("lock_threshold", lock_threshold, gt=0.0, le=1.0)
     period = trace.natural_period
     if window is None:
         window = min(DEFAULT_ANALYSIS_PERIODS * period, trace.duration)
-    if window <= 0.0 or window > trace.duration:
-        raise ValueError(
-            f"window must lie in (0, duration={trace.duration}], got {window}"
-        )
+    check_number("window", window, gt=0.0, le=trace.duration)
     t0 = trace.duration - window
     times, nodes = trace.in_window(t0, trace.duration)
     if len(times) == 0:

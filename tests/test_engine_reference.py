@@ -62,6 +62,22 @@ def test_rounding_tie_keeps_sequence_order():
     assert_same_run(trace, reference_run(config))
 
 
+def test_delivery_on_its_sources_next_fire_follows_that_fire():
+    # Node 0 fires at 0.5; its delivery to node 1 (delay 0.3 / 0.3 = 1)
+    # lands at 1.5, exactly on node 0's next natural fire. Both carry the
+    # sequence number of the fire at 0.5, and the fire entry sorts first.
+    config = SimConfig(positions=[[0.0], [0.3], [0.6]], signal_velocity=0.3,
+                       natural_period=1.0, duration=6.0,
+                       coupling_strength=0.1, refractory_fraction=0.0,
+                       initial_phases=np.array([0.5, 0.2, 0.0]),
+                       record_audit=True)
+    trace = run(config)
+    at_tie = [(r.kind, r.source, r.target) for r in trace.audit
+              if r.time == 1.5]
+    assert at_tie == [("fire", 0, 0), ("delivery", 0, 1)]
+    assert_same_run(trace, reference_run(config))
+
+
 @st.composite
 def positions(draw, n):
     kind = draw(st.sampled_from(["uniform", "lattice", "near_tie"]))

@@ -109,6 +109,7 @@ SURFACE = [
     ("diameters", lambda x: pool_sweep(SIM_BASE, [1.0, x], [0])),
     ("seeds", lambda x: pool_sweep(SIM_BASE, [1.0], [0, x])),
     ("lock_threshold", lambda x: synchrony_metrics(TRACE, lock_threshold=x)),
+    ("window", lambda x: synchrony_metrics(TRACE, window=x)),
 ]
 
 

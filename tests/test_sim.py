@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -187,6 +188,27 @@ class TestSampledTopology:
         edgeless = graph_of(np.zeros((16, 16)))
         assert same_trace(run(graph_config(edgeless)),
                           run(graph_config(edgeless, coupling=0.0)))
+
+    def test_sparse_run_builds_no_dense_delay_matrix(self):
+        # Delays live on the edges: a coupled 2000-node ring must peak far
+        # below one dense N x N delay matrix of 8 N^2 bytes.
+        n = 2000
+        ids = np.arange(n)
+        ring = sp.csr_matrix(
+            (np.ones(2 * n), (np.r_[ids, ids],
+                              np.r_[(ids + 1) % n, (ids - 1) % n])),
+            shape=(n, n))
+        config = SimConfig(
+            positions=np.random.default_rng(0).uniform(0, 1, (n, 2)),
+            signal_velocity=1.0, natural_period=1.0, duration=1.0,
+            topology=SampledGraph(n_nodes=n, adjacency=ring, seed=0))
+        tracemalloc.start()
+        try:
+            run(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n * n
 
 
 class TestDeterminism:
