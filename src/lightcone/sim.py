@@ -37,6 +37,17 @@ sorted delays hold such a pair (closer than one ulp of duration + the
 longest delay) in reverse position order is flagged at setup and keeps
 its ranks; its fires order their deliveries by (t + delay, rank).
 Uncoupled runs schedule no deliveries and build no delays.
+
+Most deliveries land in the target's refractory window and change
+nothing. Each time a cursor is popped, it first steps past every later
+delivery whose arrival a (emit + delay, as the heap key computes it) is
+within the duration with a - last_fire[target] < refractory, counting
+each as one event, so a cursor is re-keyed once per delivery that can
+still matter. The skip is exact: last_fire only grows and rounded
+subtraction is monotone, so such a delivery would still be refractory
+when it popped, and skipping it changes no state, the trace or the
+event count. Runs with record_audit keep one pop per delivery, so their
+log lists refractory deliveries in event order.
 """
 from __future__ import annotations
 
@@ -223,15 +234,29 @@ class SweepResult:
     seeds: tuple[int, ...]
 
 
-def _delays(diff: np.ndarray, signal_velocity: float) -> np.ndarray:
-    """Delays |diff| / v over the last axis of position differences."""
-    return np.sqrt((diff ** 2).sum(axis=-1)) / signal_velocity
+def _delays(pos: np.ndarray, sources: np.ndarray, targets: np.ndarray,
+            signal_velocity: float) -> np.ndarray:
+    """Delays |pos[sources] - pos[targets]| / v, index arrays broadcast.
+
+    Squared differences are summed one axis at a time, in the order
+    ``(diff ** 2).sum(axis=-1)`` sums them, so no (..., dim) temporary
+    is built and every delay has that sum's bits.
+    """
+    total = np.zeros(np.broadcast_shapes(sources.shape, targets.shape))
+    for x in pos.T:
+        diff = x[sources] - x[targets]
+        diff *= diff
+        total += diff
+    np.sqrt(total, out=total)
+    total /= signal_velocity
+    return total
 
 
 def pairwise_delays(positions: np.ndarray, signal_velocity: float) -> np.ndarray:
     """Propagation delay matrix dist(i, j) / v; shared with the tests."""
     pos = np.atleast_2d(np.asarray(positions, dtype=float))
-    return _delays(pos[:, None, :] - pos[None, :, :], signal_velocity)
+    ids = np.arange(pos.shape[0])
+    return _delays(pos, ids[:, None], ids[None, :], signal_velocity)
 
 
 def _neighbour_lists(config: SimConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -240,8 +265,10 @@ def _neighbour_lists(config: SimConfig) -> tuple[np.ndarray, np.ndarray]:
         adj = config.topology.adjacency
         return adj.indptr, adj.indices
     n = config.n_nodes
-    off_diagonal = np.nonzero(~np.eye(n, dtype=bool))[1]
-    return np.arange(n + 1) * (n - 1), off_diagonal
+    # Row i lists 0..n-2, each id from i up shifted past i itself.
+    indices = np.tile(np.arange(n - 1), (n, 1))
+    indices += indices >= np.arange(n)[:, None]
+    return np.arange(n + 1) * (n - 1), indices.ravel()
 
 
 def _has_rounding_tie(delays: list[float], ranks: list[int],
@@ -264,28 +291,39 @@ def _lanes(config: SimConfig) -> tuple[list[tuple], dict[int, list[int]]]:
     is built. A source is *tied* when two of its distinct delays could
     round to one arrival time out of neighbour-position order. Only tied
     sources keep ranks (their CSR edge indices, which order like the
-    positions), and their fires re-sort the lane by arrival time.
+    positions), and their fires re-sort the lane by arrival time. The
+    edge-sized arrays are freed before the lists are built, so the peak
+    stays close to what the lanes hold.
     """
-    pos = config.positions
     indptr, indices = _neighbour_lists(config)
+    bounds = list(zip(indptr[:-1].tolist(), indptr[1:].tolist()))
     rows = np.repeat(np.arange(config.n_nodes), np.diff(indptr))
-    edge_delays = _delays(pos[rows] - pos[indices], config.signal_velocity)
+    edge_delays = _delays(config.positions, rows, indices,
+                          config.signal_velocity)
     # lexsort is stable: equal delays keep their neighbour-list order.
     order = np.lexsort((edge_delays, rows))
+    del rows
     sorted_delays = edge_delays[order]
-    d, tg = sorted_delays.tolist(), indices[order].tolist()
-    lanes = [(d[a:b], tg[a:b], b - a)
-             for a, b in zip(indptr[:-1].tolist(), indptr[1:].tolist())]
+    del edge_delays
+    targets = indices[order]
+    del indices
     # Every popped arrival is at most duration + the longest delay, so two
     # delays farther apart than one ulp there never round to one time.
-    tol = math.ulp(config.duration + float(edge_delays.max(initial=0.0)))
+    tol = math.ulp(config.duration + float(sorted_delays.max(initial=0.0)))
     gaps = np.diff(sorted_delays)
-    close = (gaps > 0.0) & (gaps <= tol) & (rows[1:] == rows[:-1])
+    close = np.flatnonzero((gaps > 0.0) & (gaps <= tol))
+    del gaps
+    # Gap g lies inside source i's lane when edge g + 1 is also i's.
+    owner = np.searchsorted(indptr, close, side="right") - 1
     tied = {}
-    for i in np.unique(rows[1:][close]).tolist():
-        ranks = order[indptr[i]:indptr[i + 1]].tolist()
-        if _has_rounding_tie(lanes[i][0], ranks, tol):
+    for i in np.unique(owner[close + 1 < indptr[owner + 1]]).tolist():
+        a, b = bounds[i]
+        ranks = order[a:b].tolist()
+        if _has_rounding_tie(sorted_delays[a:b].tolist(), ranks, tol):
             tied[i] = ranks
+    del order
+    lanes = [(sorted_delays[a:b].tolist(), targets[a:b].tolist(), b - a)
+             for a, b in bounds]
     return lanes, tied
 
 
@@ -358,16 +396,18 @@ def run(config: SimConfig) -> SpikeTrace:
                 heappush(heap, (t + delays[0], i, seq, 0, t, lane))
         seq += 1
 
+    def overflow() -> EventQueueOverflowError:
+        return EventQueueOverflowError(
+            max_events, config.coupling_strength, config.refractory_fraction,
+        )
+
     while heap:
         t, src, fire_seq, k, emit, lane = heap[0]
         if t > duration:
             break
         pops += 1
         if pops > max_events:
-            raise EventQueueOverflowError(
-                max_events, config.coupling_strength,
-                config.refractory_fraction,
-            )
+            raise overflow()
         if k == _FIRE:
             heappop(heap)
             if emit == version[src]:
@@ -377,6 +417,17 @@ def run(config: SimConfig) -> SpikeTrace:
         delays, targets, fan = lane
         target = targets[k]
         k += 1
+        if audit is None:
+            # Skip the deliveries that would pop refractory: last_fire
+            # only grows, so they would. Each still counts as an event.
+            while k < fan:
+                a = emit + delays[k]
+                if a > duration or a - last_fire[targets[k]] >= refractory:
+                    break
+                k += 1
+                pops += 1
+            if pops > max_events:
+                raise overflow()
         if k < fan:
             heapreplace(heap, (emit + delays[k], src, fire_seq, k, emit,
                                lane))

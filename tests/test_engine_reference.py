@@ -2,7 +2,8 @@
 
 ``sim.run`` must reproduce ``reference_run`` exactly: fire times bit for
 bit, fire order, the event count, the audit log, and the pop at which
-the event budget overflows.
+the event budget overflows, with the audit log on (one pop per delivery)
+and off (refractory deliveries skipped).
 """
 import dataclasses
 import math
@@ -42,6 +43,16 @@ def baseline_config(n, diameter_over_vt, periods, **fields):
 def test_baseline_pools_match_reference(diameter_over_vt, periods):
     config = baseline_config(64, diameter_over_vt, periods)
     assert_same_run(run(config), reference_run(config))
+
+
+def test_refractory_skip_keeps_trace_and_event_count():
+    # Without an audit log the engine skips deliveries already known to
+    # be refractory; each must still count as one event.
+    audited = run(baseline_config(64, 4.0, 10, record_audit=True))
+    skipping = run(baseline_config(64, 4.0, 10))
+    assert skipping.times.tobytes() == audited.times.tobytes()
+    assert skipping.nodes.tobytes() == audited.nodes.tobytes()
+    assert skipping.n_events == audited.n_events
 
 
 def test_rounding_tie_keeps_sequence_order():
@@ -133,7 +144,9 @@ def sim_configs(draw):
         initial_phases=np.array(phases),
         topology=draw(topologies(n)),
         max_events=20_000,
-        record_audit=True,
+        # Audit runs pop every delivery; runs without one skip the
+        # deliveries already known to be refractory.
+        record_audit=draw(st.booleans()),
     )
 
 

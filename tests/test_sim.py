@@ -13,6 +13,7 @@ from lightcone import (
     run,
     synchrony_metrics,
 )
+from lightcone.sim import _lanes
 
 
 def two_node_oracle(distance, velocity, period, coupling, refractory,
@@ -209,6 +210,37 @@ class TestSampledTopology:
         finally:
             tracemalloc.stop()
         assert peak < 8 * n * n
+
+
+class TestLanes:
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_delays_keep_the_bits_of_the_summed_squares(self, dim):
+        pos = np.random.default_rng(dim).uniform(-3.0, 3.0, (40, dim))
+        diff = pos[:, None, :] - pos[None, :, :]
+        expected = np.sqrt((diff ** 2).sum(axis=-1)) / 0.7
+        delays = pairwise_delays(pos, 0.7)
+        assert delays.tobytes() == expected.tobytes()
+        config = SimConfig(positions=pos, signal_velocity=0.7,
+                           natural_period=1.0, duration=1.0)
+        lanes, _ = _lanes(config)
+        for i, (lane_delays, targets, _) in enumerate(lanes):
+            assert lane_delays == delays[i, targets].tolist()
+
+    def test_lane_setup_peaks_near_what_the_lanes_hold(self):
+        # The edge-sized temporaries must be freed before the per-source
+        # lists are built, or the peak reaches about twice what is held.
+        n = 512
+        config = SimConfig(
+            positions=np.random.default_rng(0).uniform(0, 1, (n, 2)),
+            signal_velocity=1.0, natural_period=1.0, duration=1.0)
+        tracemalloc.start()
+        try:
+            lanes, _ = _lanes(config)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(lanes) == n
+        assert peak < 1.6 * held
 
 
 class TestDeterminism:
