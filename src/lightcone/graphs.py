@@ -7,6 +7,7 @@ serve as the empirical counterpart of the closed-form relations.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Union
@@ -41,6 +42,11 @@ DEFAULT_SOURCE_SAMPLE = 256
 MIN_COVERAGE = 0.90
 # Memory guard for samplers: total expected stub/edge count.
 MAX_STUBS = 200_000_000
+# BFS direction rule. Costs per edge read, relative to a pull into every
+# node: a pull into only the nodes that lack a bit builds their edge list
+# first, and a push transposes the frontier's CSR rows.
+_RESTRICTED_PULL_COST = 2
+_PUSH_COST = 8
 
 
 @dataclass(frozen=True)
@@ -271,6 +277,12 @@ def sample_graph(dist: DegreeDistribution, n_total: int, seed: int) -> SampledGr
     sequence (total degree adjusted to even parity), with self-loops and
     parallel edges removed afterwards.
 
+    Both samplers return each edge once as (i, j) with i < j, sorted by
+    row and then column, which is the upper triangle in CSR order. The
+    symmetric adjacency is built from it in one pass as ``upper +
+    upper.T``, with no COO sort and no duplicate sum; its ``indptr``,
+    ``indices``, ``data`` and dtypes equal those of the COO route.
+
     Raises ValueError for infeasible sequences (a degree >= n_total) and
     for samples beyond the memory budget (~2e8 expected stubs).
     """
@@ -314,12 +326,12 @@ def sample_graph(dist: DegreeDistribution, n_total: int, seed: int) -> SampledGr
     else:
         raise TypeError(f"unsupported distribution type: {type(dist)!r}")
 
-    data = np.ones(2 * len(rows))
-    adjacency = sp.csr_matrix(
-        (data, (np.concatenate([rows, cols]), np.concatenate([cols, rows]))),
-        shape=(n_total, n_total),
-    )
-    adjacency.data[:] = 1.0  # collapse any duplicate accumulation
+    # Each edge once as (i, j), i < j, sorted: the upper triangle in CSR order.
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows,
+                                                        minlength=n_total))))
+    upper = sp.csr_matrix((np.ones(len(rows)), cols, indptr),
+                          shape=(n_total, n_total))
+    adjacency = upper + upper.T
     return SampledGraph(n_nodes=n_total, adjacency=adjacency, seed=seed,
                         target_degrees=target)
 
@@ -340,45 +352,106 @@ def _bfs_distance_sums(adjacency: sp.csr_matrix, sources: np.ndarray,
 
     Bit-parallel multi-source BFS (Then et al., VLDB 2014): each chunk of
     up to 256 sources gets one bit per source in 4 uint64 words per node,
-    and one level expands every source at once by OR-ing the frontier
-    words of each node's neighbours. A chunk stops once every source has
-    reached its whole component, as given by the ``_components`` labels.
-    ``adjacency`` must be symmetric; only its sparsity structure is read.
-    The int64 sums are exact.
+    and one level expands every source at once. A node *lacks* the bits
+    of the sources in its own component (the ``_components`` labels) that
+    have not reached it yet; a chunk stops once no node lacks a bit (or,
+    were the labels wrong, once a level reaches nothing new).
+
+    Each level picks its direction from edge counts (Beamer, Asanovic &
+    Patterson, SC 2012). A push ORs each frontier node's words into its
+    neighbours; it runs while the frontier's edges are few. A pull ORs,
+    into each node that still lacks a bit, the frontier words of its
+    neighbours; when such nodes hold most edges it pulls into every node.
+    Either way a node receives the OR of its frontier neighbours' words
+    and keeps only the bits it lacks, so each level reaches the same
+    (source, node) pairs whichever direction runs, and the int64 sums are
+    exact. ``adjacency`` must be symmetric; only its sparsity structure
+    is read.
     """
     n = adjacency.shape[0]
-    # Nodes each source still has to reach: its component minus itself.
-    unreached = np.bincount(labels)[labels[sources]] - 1
-    indptr, indices = adjacency.indptr, adjacency.indices
+    indptr = adjacency.indptr
+    indices = adjacency.indices.astype(np.intp)  # take() wants intp
+    degree = np.diff(indptr)
     # reduceat gives an empty segment a stray element, and rejects a
-    # trailing one that starts at nnz: reduce non-empty rows only.
-    rows = np.flatnonzero(np.diff(indptr))
+    # trailing one that starts at nnz: a full pull reduces non-empty rows.
+    rows = np.flatnonzero(degree)
     starts = indptr[rows]
     sums = np.zeros(len(sources), dtype=np.int64)
     chunk = 256
     for first in range(0, len(sources), chunk):
         batch = sources[first:first + chunk]
         bits = np.arange(len(batch))
-        seen = np.zeros((n, (len(batch) + 63) // 64), dtype="<u8")
-        # .at, not |=: a source listed twice in one word sets two bits.
-        np.bitwise_or.at(seen, (batch, bits // 64),
-                         np.uint64(1) << (bits % 64).astype(np.uint64))
-        frontier = seen.copy()
-        reached = np.zeros_like(seen)
-        remaining = unreached[first:first + len(batch)]
+        word, bit = bits // 64, np.uint64(1) << (bits % 64).astype(np.uint64)
+        # Each source's bit at its own node: one row per word, one column
+        # per node. .at, not |=: a source listed twice in one word sets
+        # two bits.
+        own = np.zeros((word[-1] + 1, n), dtype="<u8")
+        np.bitwise_or.at(own, (word, batch), bit)
+        wanted = np.zeros((len(own), labels.max() + 1), dtype="<u8")
+        np.bitwise_or.at(wanted, (word, labels[batch]), bit)
+        lacking = wanted.take(labels, axis=1) & ~own
+        front_nodes = np.flatnonzero(_any_bit(own))
+        front = own.take(front_nodes, axis=1)
         level = 0
-        while (remaining > 0).any():
+        while len(front_nodes):  # ends even if wrong labels strand a bit
+            needy = np.flatnonzero(_any_bit(lacking))
+            if not len(needy):
+                break
             level += 1
-            reached[rows] = np.bitwise_or.reduceat(frontier[indices], starts,
-                                                   axis=0)
-            reached &= ~seen
-            hits = np.unpackbits(reached.view(np.uint8), axis=1,
-                                 bitorder="little").sum(axis=0, dtype=np.int64)
-            sums[first:first + len(batch)] += level * hits[:len(batch)]
-            remaining -= hits[:len(batch)]
-            seen |= reached
-            frontier, reached = reached, frontier
+            lengths = degree.take(needy)
+            restricted_cost = _RESTRICTED_PULL_COST * int(lengths.sum())
+            pull_cost = min(restricted_cost, len(indices))
+            if _PUSH_COST * int(degree.take(front_nodes).sum()) < pull_cost:
+                # The frontier's CSR rows transposed: for each neighbour,
+                # the frontier nodes next to it, as columns of ``front``.
+                into = adjacency[front_nodes].tocsc()
+                new_nodes = np.flatnonzero(np.diff(into.indptr))
+                words, edges = front, into.indices
+                segments = into.indptr[new_nodes]
+            else:
+                words = np.zeros_like(own)
+                for row, f in zip(words, front):
+                    row[front_nodes] = f
+                if restricted_cost >= len(indices):
+                    new_nodes, edges, segments = rows, indices, starts
+                else:
+                    # Nodes that lack a bit have a neighbour: their
+                    # component holds a source other than themselves.
+                    ends = np.cumsum(lengths)
+                    segments = ends - lengths
+                    edge_ids = (np.repeat(indptr[needy] - segments, lengths)
+                                + np.arange(ends[-1]))
+                    new_nodes, edges = needy, indices.take(edge_ids)
+            new = np.stack([np.bitwise_or.reduceat(w.take(edges), segments)
+                            for w in words])
+            new &= lacking.take(new_nodes, axis=1)
+            keep = _any_bit(new) != 0
+            front_nodes, front = new_nodes[keep], new.compress(keep, axis=1)
+            for row, f in zip(lacking, front):
+                row[front_nodes] &= ~f
+            sums[first:first + len(batch)] += (
+                level * _bit_counts(front)[:len(batch)])
     return sums
+
+
+def _any_bit(words: np.ndarray) -> np.ndarray:
+    """OR over the word rows: nonzero for each node with any bit set."""
+    return functools.reduce(np.bitwise_or, words)
+
+
+def _bit_counts(words: np.ndarray) -> np.ndarray:
+    """Number of nodes with each bit set; bit i of word j counts at 64j + i.
+
+    The bits are unpacked one row per node and summed 255 nodes at a time
+    as uint64 words, whose eight byte lanes then each hold a count below
+    256: an eighth of the additions of a bytewise sum.
+    """
+    unpacked = np.unpackbits(np.ascontiguousarray(words.T).view(np.uint8),
+                             axis=1, bitorder="little").view("<u8")
+    counts = np.zeros(8 * unpacked.shape[1], dtype=np.int64)
+    for block in range(0, len(unpacked), 255):
+        counts += unpacked[block:block + 255].sum(axis=0).view(np.uint8)
+    return counts
 
 
 def measure_avg_path_length(graph: SampledGraph,
@@ -395,8 +468,10 @@ def measure_avg_path_length(graph: SampledGraph,
     the component so repeated measurements agree.
 
     Distances come from a bit-parallel multi-source BFS that advances 64
-    sources per machine word; scipy's dijkstra and networkx remain its
-    test oracles.
+    sources per machine word. Each level pushes from a small frontier or
+    pulls into the nodes that still lack a source, whichever reads fewer
+    edges; both reach the same nodes, so the result does not depend on
+    the choice. scipy's dijkstra and networkx remain its test oracles.
     """
     if source_sample is not None and source_sample != "all" and (
             isinstance(source_sample, bool)

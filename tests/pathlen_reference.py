@@ -1,15 +1,18 @@
-"""Frozen dijkstra path-length routine, kept as the oracle for the BFS.
+"""Frozen path-length routines, kept as the oracles for the fast ones.
 
 ``reference_measure_avg_path_length`` is the batched
 ``dijkstra(unweighted=True)`` measurement that ``measure_avg_path_length``
-used before the bit-parallel BFS replaced it. Do not change it: the
-tests require the library to match it bit for bit.
+used before the bit-parallel BFS replaced it. ``reference_adjacency`` is
+the COO-to-CSR route by which ``sample_graph`` built its symmetric
+adjacency before the one-pass ``upper + upper.T`` replaced it. Do not
+change them: the tests require the library to match them bit for bit.
 """
 from __future__ import annotations
 
 import math
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components, dijkstra
 
 from lightcone.errors import DisconnectedGraphError
@@ -19,6 +22,17 @@ from lightcone.graphs import (
     MIN_COVERAGE,
     PathLengthResult,
 )
+
+
+def reference_adjacency(rows, cols, n_total):
+    """Symmetric CSR adjacency of the edges (rows[k], cols[k]), COO route."""
+    data = np.ones(2 * len(rows))
+    adjacency = sp.csr_matrix(
+        (data, (np.concatenate([rows, cols]), np.concatenate([cols, rows]))),
+        shape=(n_total, n_total),
+    )
+    adjacency.data[:] = 1.0  # collapse any duplicate accumulation
+    return adjacency
 
 
 def reference_distance_sums(adjacency, sources) -> np.ndarray:

@@ -21,8 +21,10 @@ from lightcone import (
     sample_graph,
     sample_powerlaw_degrees,
 )
+from lightcone import graphs as graphs_module
 from lightcone.graphs import _bfs_distance_sums, _components
 from pathlen_reference import (
+    reference_adjacency,
     reference_distance_sums,
     reference_measure_avg_path_length,
 )
@@ -34,6 +36,33 @@ def graph_from_edges(n, edges):
     cols = [j for _, j in edges] + [i for i, _ in edges]
     adj = sp.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
     return SampledGraph(n_nodes=n, adjacency=adj, seed=0)
+
+
+def assert_same_csr(a, b):
+    """Equal as stored: same arrays, same dtypes, same canonical flag."""
+    assert type(a) is type(b) and a.shape == b.shape
+    for name in ("indptr", "indices", "data"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype, name
+        np.testing.assert_array_equal(x, y, err_msg=name)
+    assert a.has_canonical_format == b.has_canonical_format
+
+
+def assert_sums_match_oracles(graph, edges, sources, nx_sources=None):
+    """BFS sums equal dijkstra's for every source and networkx's for
+    ``nx_sources`` (default: all of them)."""
+    sources = np.asarray(sources)
+    sums = _bfs_distance_sums(graph.adjacency, sources,
+                              _components(graph.adjacency))
+    assert sums.dtype == np.int64
+    np.testing.assert_array_equal(
+        sums, reference_distance_sums(graph.adjacency, sources))
+    nx_graph = nx.Graph(edges)
+    nx_graph.add_nodes_from(range(graph.n_nodes))
+    for k in (range(len(sources)) if nx_sources is None else nx_sources):
+        lengths = nx.single_source_shortest_path_length(nx_graph,
+                                                        int(sources[k]))
+        assert sums[k] == sum(lengths.values())
 
 
 # Source counts around the 64-bit word and the 256-source chunk.
@@ -283,6 +312,37 @@ class TestSampleGraph:
         assert np.all(adj.data == 1.0)
         assert (adj != adj.T).nnz == 0
 
+    @pytest.mark.parametrize("dist,n_total,seeds", [
+        (RandomGaussian(n_total=2000, avg_path_length=3.0), 2000, (0, 1, 2)),
+        (RandomGaussian(n_total=10**4, avg_path_length=2.5), 10**4, (123,)),
+        (PowerLaw(alpha=2.5, k_min=4.0), 2000, (0, 1, 2)),
+        (PowerLaw(alpha=2.1), 3000, (5, 6)),
+        (PowerLaw(alpha=4.0), 2, (1, 2)),  # two nodes, one edge
+    ])
+    def test_adjacency_matches_frozen_coo_route(self, monkeypatch, dist,
+                                                n_total, seeds):
+        drawn = []
+        for name in ("_er_edge_list", "_configuration_edges"):
+            def recording(*args, _sampler=getattr(graphs_module, name)):
+                drawn.append(_sampler(*args))
+                return drawn[-1]
+            monkeypatch.setattr(graphs_module, name, recording)
+        for seed in seeds:
+            graph = sample_graph(dist, n_total, seed)
+            rows, cols = drawn.pop()
+            assert graph.n_edges == len(rows)
+            assert_same_csr(graph.adjacency,
+                            reference_adjacency(rows, cols, n_total))
+
+    def test_edgeless_adjacency_matches_frozen_coo_route(self, monkeypatch):
+        empty = np.empty(0, dtype=np.int64)
+        monkeypatch.setattr(graphs_module, "_er_edge_list",
+                            lambda n, p, rng: (empty, empty))
+        graph = sample_graph(RandomGaussian(n_total=50, avg_path_length=3.0),
+                             50, seed=0)
+        assert graph.n_edges == 0
+        assert_same_csr(graph.adjacency, reference_adjacency(empty, empty, 50))
+
     def test_infeasible_degree_sequence_rejected(self):
         with pytest.raises(ValueError, match="infeasible"):
             sample_graph(PowerLaw(alpha=2.5, k_min=2000.0), 1000, seed=0)
@@ -375,6 +435,53 @@ class TestMeasureAvgPathLength:
         reference = reference_measure_avg_path_length(graph, source_sample=256)
         assert result.mean == reference.mean
         assert result == reference
+
+    @pytest.mark.parametrize("n,sources,cycle", [
+        (1000, [0], False),               # from one end of a long path
+        (1000, [0, 999, 500], False),
+        (301, list(range(0, 301, 50)), True),
+    ])
+    def test_bfs_sums_on_paths_and_cycles(self, n, sources, cycle):
+        # A frontier of a node or two: every level but the last few pushes.
+        edges = [(i, i + 1) for i in range(n - 1)] + [(0, n - 1)] * cycle
+        assert_sums_match_oracles(graph_from_edges(n, edges), edges, sources)
+
+    def test_bfs_sums_on_criterion_law_graph(self):
+        # 256 sources on the criterion's G(n, p) law: the frontier's edges
+        # are most of the graph, so the levels pull into every node.
+        n = 2000
+        graph = sample_graph(RandomGaussian(n_total=n, avg_path_length=2.5),
+                             n, seed=3)
+        edges = [tuple(e) for e in graph.edge_array().tolist()]
+        sources = np.linspace(0, n - 1, 256).astype(np.int64)
+        assert_sums_match_oracles(graph, edges, sources,
+                                  nx_sources=(0, 1, 127, 255))
+
+    def test_bfs_sums_with_sources_in_a_small_component(self):
+        # A 300-node random component the sources never reach, a 12-node
+        # path holding every source, and an isolated source: only the
+        # path's nodes lack bits, so the pulls read its edges alone.
+        rng = np.random.default_rng(11)
+        big = [(i, j) for i in range(300) for j in range(i + 1, 300)
+               if rng.random() < 0.05]
+        path = [(300 + i, 301 + i) for i in range(11)]
+        edges = big + path
+        graph = graph_from_edges(313, edges)
+        assert_sums_match_oracles(graph, edges, list(range(300, 313)))
+
+    def test_bfs_sums_on_a_star_with_over_255_leaves(self):
+        # Each level reaches more than 255 nodes with the same source bit,
+        # past what one byte lane of the bit counter holds.
+        edges = [(0, leaf) for leaf in range(1, 301)]
+        assert_sums_match_oracles(graph_from_edges(301, edges), edges,
+                                  [0, 1, 2, 300])
+
+    def test_bfs_sums_with_a_source_listed_twice(self):
+        edges = [(i, i + 1) for i in range(99)] + [(0, 50), (20, 80)]
+        graph = graph_from_edges(100, edges)
+        # Twice in one word, and the same node again in the next word.
+        sources = [7, 7, 42] + list(range(61)) + [7, 99]
+        assert_sums_match_oracles(graph, edges, sources)
 
     @pytest.mark.parametrize("source_sample",
                              [True, False, 2.7, 64.0, "al", math.nan, 1, 0, -5])
