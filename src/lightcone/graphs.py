@@ -225,47 +225,64 @@ def sample_powerlaw_degrees(dist: PowerLaw, n_total: int,
 
 def _er_edge_list(n: int, p: float,
                   rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """G(n, p) edges by geometric skipping over the upper-triangle pairs."""
+    """G(n, p) edges by geometric skipping over the upper-triangle pairs.
+
+    Pairs are numbered row by row: row i holds the n - 1 - i pairs (i, j),
+    j > i, and ends before ``row_ends[i]``. Each chunk turns uniform
+    draws into skips and their running sum in its own buffers. The rows
+    come from per-row counts: one search of the sorted pair numbers for
+    the n - 1 row ends, then ``np.repeat``. Pair ``lin`` of row i is
+    column ``lin + n - row_ends[i]``. At p = 1 every skip is 1, so every
+    pair is taken.
+    """
     n_pairs = n * (n - 1) // 2
     if p <= 0.0 or n_pairs == 0:
         empty = np.empty(0, dtype=np.int64)
         return empty, empty
-    logq = math.log1p(-p)
+    logq = math.log1p(-p) if p < 1.0 else -math.inf
     picks = []
     cur = -1
     while True:
         # Chunk size with slack so one pass usually suffices.
         m = max(1024, int(1.2 * p * (n_pairs - cur)) + 16)
         u = rng.random(m)
-        skips = np.floor(np.log(u) / logq).astype(np.int64) + 1
-        idx = cur + np.cumsum(skips)
-        take = idx[idx < n_pairs]
+        np.log(u, out=u)
+        u /= logq
+        np.floor(u, out=u)
+        idx = u.astype(np.int64)
+        idx += 1
+        np.cumsum(idx, out=idx)
+        idx += cur
+        # Skips are >= 1, so idx increases and the pairs in range lead it.
+        take = idx[:np.searchsorted(idx, n_pairs)]
         picks.append(take)
         if len(take) < len(idx):
             break
         cur = int(idx[-1])
     lin = np.concatenate(picks)
-    row_counts = np.arange(n - 1, 0, -1, dtype=np.int64)
-    row_ends = np.cumsum(row_counts)
-    i = np.searchsorted(row_ends, lin, side="right")
-    row_start = row_ends[i] - row_counts[i]
-    j = i + 1 + (lin - row_start)
-    return i.astype(np.int64), j.astype(np.int64)
+    row_ends = np.cumsum(np.arange(n - 1, 0, -1, dtype=np.int64))
+    counts = np.diff(np.searchsorted(lin, row_ends), prepend=0)
+    rows = np.repeat(np.arange(n - 1, dtype=np.int64), counts)
+    lin += np.repeat(n - row_ends, counts)
+    return rows, lin
 
 
 def _configuration_edges(degrees: np.ndarray,
                          rng: np.random.Generator
                          ) -> tuple[np.ndarray, np.ndarray]:
-    """Stub matching followed by self-loop and multi-edge cleanup."""
-    stubs = np.repeat(np.arange(len(degrees), dtype=np.int64), degrees)
+    """Stub matching followed by self-loop and multi-edge cleanup.
+
+    Each pair (lo, hi) is keyed as ``lo * n + hi``; since hi < n, the
+    unique keys sort in (lo, hi) order.
+    """
+    n = len(degrees)
+    stubs = np.repeat(np.arange(n, dtype=np.int64), degrees)
     rng.shuffle(stubs)
     a, b = stubs[0::2], stubs[1::2]
     keep = a != b
     a, b = a[keep], b[keep]
-    lo = np.minimum(a, b)
-    hi = np.maximum(a, b)
-    pairs = np.unique(np.stack([lo, hi], axis=1), axis=0)
-    return pairs[:, 0], pairs[:, 1]
+    keys = np.unique(np.minimum(a, b) * n + np.maximum(a, b))
+    return keys // n, keys % n
 
 
 def sample_graph(dist: DegreeDistribution, n_total: int, seed: int) -> SampledGraph:
@@ -283,18 +300,19 @@ def sample_graph(dist: DegreeDistribution, n_total: int, seed: int) -> SampledGr
     upper.T``, with no COO sort and no duplicate sum; its ``indptr``,
     ``indices``, ``data`` and dtypes equal those of the COO route.
 
-    Raises ValueError for infeasible sequences (a degree >= n_total) and
-    for samples beyond the memory budget (~2e8 expected stubs).
+    Raises ValueError for an infeasible degree (a G(n, p) mean degree
+    above n_total - 1, so p > 1, or a power-law degree >= n_total) and for
+    samples beyond the memory budget (~2e8 expected stubs).
     """
     check_integer("n_total", n_total, ge=2)
     rng = np.random.default_rng(seed)
     target: np.ndarray | None = None
     if isinstance(dist, RandomGaussian):
         kbar = avg_degree_random(dist.n_total, dist.avg_path_length)
-        if kbar >= n_total:
+        if kbar > n_total - 1:
             raise ValueError(
-                f"infeasible degree: target mean degree {kbar:.1f} >= "
-                f"n_total {n_total}"
+                f"infeasible degree: target mean degree {kbar:.4g} > "
+                f"n_total - 1 = {n_total - 1}"
             )
         if kbar * n_total > MAX_STUBS:
             raise ValueError(

@@ -469,14 +469,14 @@ def run(config: SimConfig) -> SpikeTrace:
     )
 
 
-def _mean_phasor(times: np.ndarray, period: float) -> complex:
-    """Circular mean of fire times modulo ``period``, as a unit-disc point."""
-    angles = 2.0 * np.pi * ((times % period) / period)
-    return np.exp(1j * angles).mean()
+def _phase_angles(times: np.ndarray, period: float) -> np.ndarray:
+    """Fire times modulo ``period``, as angles in [0, 2*pi)."""
+    return 2.0 * np.pi * ((times % period) / period)
 
 
 def _order_parameter(times: np.ndarray, period: float) -> float:
-    return float(abs(_mean_phasor(times, period)))
+    """Magnitude of the circular mean of fire times modulo ``period``."""
+    return float(abs(np.exp(1j * _phase_angles(times, period)).mean()))
 
 
 def synchrony_metrics(trace: SpikeTrace, window: float | None = None,
@@ -507,12 +507,14 @@ def synchrony_metrics(trace: SpikeTrace, window: float | None = None,
         )
     order = _order_parameter(times, period)
 
-    per_node = np.full(trace.n_nodes, np.nan)
-    for i in range(trace.n_nodes):
-        own = times[nodes == i]
-        if len(own):
-            mean_angle = np.angle(_mean_phasor(own, period))
-            per_node[i] = (mean_angle / (2.0 * np.pi)) % 1.0 * period
+    # Each node's circular mean phase: the angle of its phasor sum.
+    angles = _phase_angles(times, period)
+    n = trace.n_nodes
+    re = np.bincount(nodes, weights=np.cos(angles), minlength=n)
+    im = np.bincount(nodes, weights=np.sin(angles), minlength=n)
+    mean_angle = np.arctan2(im, re)
+    per_node = np.where(np.bincount(nodes, minlength=n) > 0,
+                        (mean_angle / (2.0 * np.pi)) % 1.0 * period, np.nan)
 
     n_periods = int(trace.duration / period)
     converged_from: float | None = None

@@ -4,8 +4,12 @@
 ``dijkstra(unweighted=True)`` measurement that ``measure_avg_path_length``
 used before the bit-parallel BFS replaced it. ``reference_adjacency`` is
 the COO-to-CSR route by which ``sample_graph`` built its symmetric
-adjacency before the one-pass ``upper + upper.T`` replaced it. Do not
-change them: the tests require the library to match them bit for bit.
+adjacency before the one-pass ``upper + upper.T`` replaced it.
+``reference_er_edge_list`` and ``reference_configuration_edges`` are the
+G(n, p) and configuration-model edge samplers as they were before the
+per-row-count rows and the one-key unique replaced their searches. Do
+not change them: the tests require the library to match them bit for
+bit.
 """
 from __future__ import annotations
 
@@ -22,6 +26,48 @@ from lightcone.graphs import (
     MIN_COVERAGE,
     PathLengthResult,
 )
+
+
+def reference_er_edge_list(n, p, rng):
+    """G(n, p) edges by geometric skipping over the upper-triangle pairs."""
+    n_pairs = n * (n - 1) // 2
+    if p <= 0.0 or n_pairs == 0:
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty
+    logq = math.log1p(-p)
+    picks = []
+    cur = -1
+    while True:
+        # Chunk size with slack so one pass usually suffices.
+        m = max(1024, int(1.2 * p * (n_pairs - cur)) + 16)
+        u = rng.random(m)
+        skips = np.floor(np.log(u) / logq).astype(np.int64) + 1
+        idx = cur + np.cumsum(skips)
+        take = idx[idx < n_pairs]
+        picks.append(take)
+        if len(take) < len(idx):
+            break
+        cur = int(idx[-1])
+    lin = np.concatenate(picks)
+    row_counts = np.arange(n - 1, 0, -1, dtype=np.int64)
+    row_ends = np.cumsum(row_counts)
+    i = np.searchsorted(row_ends, lin, side="right")
+    row_start = row_ends[i] - row_counts[i]
+    j = i + 1 + (lin - row_start)
+    return i.astype(np.int64), j.astype(np.int64)
+
+
+def reference_configuration_edges(degrees, rng):
+    """Stub matching followed by self-loop and multi-edge cleanup."""
+    stubs = np.repeat(np.arange(len(degrees), dtype=np.int64), degrees)
+    rng.shuffle(stubs)
+    a, b = stubs[0::2], stubs[1::2]
+    keep = a != b
+    a, b = a[keep], b[keep]
+    lo = np.minimum(a, b)
+    hi = np.maximum(a, b)
+    pairs = np.unique(np.stack([lo, hi], axis=1), axis=0)
+    return pairs[:, 0], pairs[:, 1]
 
 
 def reference_adjacency(rows, cols, n_total):

@@ -22,10 +22,17 @@ from lightcone import (
     sample_powerlaw_degrees,
 )
 from lightcone import graphs as graphs_module
-from lightcone.graphs import _bfs_distance_sums, _components
+from lightcone.graphs import (
+    _bfs_distance_sums,
+    _components,
+    _configuration_edges,
+    _er_edge_list,
+)
 from pathlen_reference import (
     reference_adjacency,
+    reference_configuration_edges,
     reference_distance_sums,
+    reference_er_edge_list,
     reference_measure_avg_path_length,
 )
 
@@ -347,6 +354,28 @@ class TestSampleGraph:
         with pytest.raises(ValueError, match="infeasible"):
             sample_graph(PowerLaw(alpha=2.5, k_min=2000.0), 1000, seed=0)
 
+    def test_mean_degree_above_n_minus_one_rejected(self):
+        # kbar = 1.67 on two nodes would need p = 1.67.
+        with pytest.raises(ValueError,
+                           match=r"mean degree 1\.668 > n_total - 1 = 1"):
+            sample_graph(RandomGaussian(2, 10.0), 2, seed=0)
+
+    def test_mean_degree_n_minus_one_gives_complete_graph(self):
+        # Find, near the closed-form inverse, a path length whose mean
+        # degree on 7 nodes is exactly 6.0, so p = 1.
+        length = path_length_random(7, 6.0)
+        # The degree falls as the path length grows.
+        toward = 0.0 if avg_degree_random(7, length) < 6.0 else math.inf
+        for _ in range(64):
+            if avg_degree_random(7, length) == 6.0:
+                break
+            length = np.nextafter(length, toward)
+        assert avg_degree_random(7, length) == 6.0
+        graph = sample_graph(RandomGaussian(7, length), 7, seed=0)
+        assert graph.n_edges == 21
+        assert np.array_equal(graph.edge_array(),
+                              np.stack(np.triu_indices(7, 1), axis=1))
+
     def test_memory_budget_rejected(self):
         with pytest.raises(ValueError, match="memory budget"):
             sample_graph(RandomGaussian(10**6, 1.2), 10**6, seed=0)
@@ -377,6 +406,74 @@ class TestSampleGraph:
             degrees = sample_graph(dist, n, seed=seed).target_degrees
             empirical = np.asarray([(degrees >= k).mean() for k in ks])
             assert np.abs(empirical - model).max() <= 0.02
+
+
+class NearOneDraws:
+    """Generator stub: ``random(m)`` maps default_rng draws into [0.999, 1).
+
+    Geometric skips from such draws are mostly 1 or 2 pairs at p =
+    0.0005, so a 1024-draw chunk covers far fewer pairs than a 400-node
+    graph has and the chunk loop runs many times. Past ``max_calls`` it fails, so a
+    loop that stops advancing ends the test instead of hanging it.
+    """
+
+    def __init__(self, seed, max_calls=200):
+        self._rng = np.random.default_rng(seed)
+        self.calls = 0
+        self.max_calls = max_calls
+
+    def random(self, m):
+        self.calls += 1
+        assert self.calls <= self.max_calls, "chunk loop does not advance"
+        return 0.999 + 0.001 * self._rng.random(m)
+
+
+def assert_same_edges(got, want):
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype
+        assert np.array_equal(a, b)
+
+
+class TestEdgeSamplersMatchFrozen:
+    # sample_graph's p is above 1e-8 (mean degree at least e**0.5, at
+    # most 2e8 nodes); far smaller p overflows int64 skips in both.
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(2, 400),
+           st.floats(1e-9, 1.0, exclude_max=True),
+           st.integers(0, 2**63))
+    def test_er_edge_list(self, n, p, seed):
+        assert_same_edges(_er_edge_list(n, p, np.random.default_rng(seed)),
+                          reference_er_edge_list(
+                              n, p, np.random.default_rng(seed)))
+
+    def test_er_edge_list_carries_the_pair_index_across_chunks(self):
+        library, frozen = NearOneDraws(3), NearOneDraws(3)
+        rows, cols = _er_edge_list(400, 0.0005, library)
+        assert library.calls > 10
+        assert_same_edges((rows, cols),
+                          reference_er_edge_list(400, 0.0005, frozen))
+        assert library.calls == frozen.calls
+
+    @pytest.mark.parametrize("n", [2, 3, 50])
+    def test_p_one_takes_every_pair(self, n):
+        # The frozen sampler fails here in math.log1p(-1).
+        rows, cols = _er_edge_list(n, 1.0, np.random.default_rng(0))
+        assert_same_edges((rows, cols),
+                          tuple(a.astype(np.int64)
+                                for a in np.triu_indices(n, 1)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 60).flatmap(lambda n: st.lists(
+               st.integers(0, n - 1), min_size=n, max_size=n)),
+           st.integers(0, 2**63))
+    def test_configuration_edges(self, degrees, seed):
+        degrees = np.asarray(degrees, dtype=np.int64)
+        if degrees.sum() % 2:
+            degrees[np.argmax(degrees)] -= 1
+        assert_same_edges(
+            _configuration_edges(degrees, np.random.default_rng(seed)),
+            reference_configuration_edges(degrees,
+                                          np.random.default_rng(seed)))
 
 
 class TestMeasureAvgPathLength:
