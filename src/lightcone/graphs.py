@@ -4,20 +4,27 @@ Analytic operations treat degrees as real-valued. Sampling operations
 produce integer degree sequences (floor plus stochastic remainder) and
 cleaned-up undirected graphs (no self-loops, no parallel edges), which
 serve as the empirical counterpart of the closed-form relations.
+
+scipy loads on the first sample or path-length measurement, inside the
+functions that build or search a sparse graph. The closed forms, the
+pool and hardware budgets and the simulator need only numpy, and scipy
+is about two thirds of a cold ``import lightcone``, so every CLI command
+that samples no graph starts without it.
 """
 from __future__ import annotations
 
 import functools
 import math
 from dataclasses import dataclass
-from typing import Union
+from typing import TYPE_CHECKING, Union
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
 
 from .constants import EULER_GAMMA
 from .errors import DisconnectedGraphError, check_integer, check_number
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 __all__ = [
     "RandomGaussian",
@@ -112,6 +119,8 @@ class SampledGraph:
 
     def edge_array(self) -> np.ndarray:
         """(m, 2) array of edges with i < j, sorted; stable across runs."""
+        import scipy.sparse as sp
+
         coo = sp.triu(self.adjacency, k=1).tocoo()
         edges = np.stack([coo.row, coo.col], axis=1)
         order = np.lexsort((edges[:, 1], edges[:, 0]))
@@ -344,6 +353,8 @@ def sample_graph(dist: DegreeDistribution, n_total: int, seed: int) -> SampledGr
     else:
         raise TypeError(f"unsupported distribution type: {type(dist)!r}")
 
+    import scipy.sparse as sp
+
     # Each edge once as (i, j), i < j, sorted: the upper triangle in CSR order.
     indptr = np.concatenate(([0], np.cumsum(np.bincount(rows,
                                                         minlength=n_total))))
@@ -360,6 +371,8 @@ def _components(adjacency: sp.csr_matrix) -> np.ndarray:
     On a symmetric matrix strong and weak components coincide, and the
     strong search skips the transpose that ``directed=False`` builds.
     """
+    from scipy.sparse.csgraph import connected_components
+
     return connected_components(adjacency, directed=True,
                                 connection="strong")[1]
 

@@ -38,21 +38,29 @@ longest delay) in reverse position order is flagged at setup and keeps
 its ranks; its fires order their deliveries by (t + delay, rank).
 Uncoupled runs schedule no deliveries and build no delays.
 
+Events are counted when they are scheduled, not when they pop. Only an
+entry whose time is within the duration is pushed, and each counts as
+one event. A fire's cursor ends before its first arrival past the
+duration, found by bisecting the lane on t + delay, the heap key's own
+expression; the fire counts every delivery before that end. Every
+entry within the duration would pop, so n_events is the number of pops
+of one entry per delivery, and the budget raises in the same runs.
+
 Most deliveries land in the target's refractory window and change
 nothing. Each time a cursor is popped, it first steps past every later
-delivery whose arrival a (emit + delay, as the heap key computes it) is
-within the duration with a - last_fire[target] < refractory, counting
-each as one event, so a cursor is re-keyed once per delivery that can
-still matter. The skip is exact: last_fire only grows and rounded
-subtraction is monotone, so such a delivery would still be refractory
-when it popped, and skipping it changes no state, the trace or the
-event count. Runs with record_audit keep one pop per delivery, so their
+delivery whose arrival a (emit + delay, as the heap key computes it)
+has a - last_fire[target] < refractory, so a cursor is re-keyed once
+per delivery that can still matter. The skip is exact: last_fire only
+grows and rounded subtraction is monotone, so such a delivery would
+still be refractory when it popped, and skipping it changes no state or
+the trace. Runs with record_audit keep one pop per delivery, so their
 log lists refractory deliveries in event order.
 """
 from __future__ import annotations
 
 import heapq
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 from typing import NamedTuple, Union
 
@@ -297,12 +305,21 @@ def _lanes(config: SimConfig) -> tuple[list[tuple], dict[int, list[int]]]:
     """
     indptr, indices = _neighbour_lists(config)
     bounds = list(zip(indptr[:-1].tolist(), indptr[1:].tolist()))
-    rows = np.repeat(np.arange(config.n_nodes), np.diff(indptr))
+    fans = np.diff(indptr)
+    rows = np.repeat(np.arange(config.n_nodes), fans)
     edge_delays = _delays(config.positions, rows, indices,
                           config.signal_velocity)
-    # lexsort is stable: equal delays keep their neighbour-list order.
-    order = np.lexsort((edge_delays, rows))
     del rows
+    # Rows that share a fan sort as one (rows, fan) matrix of edge
+    # indices. The sort is stable: equal delays keep neighbour-list order.
+    order = np.empty(len(indices), dtype=np.int64)
+    for fan in np.unique(fans).tolist():
+        if fan == 0:
+            continue
+        edges = indptr[:-1][fans == fan, None] + np.arange(fan)
+        by_delay = np.argsort(edge_delays[edges], axis=1, kind="stable")
+        order[edges] = np.take_along_axis(edges, by_delay, axis=1)
+        del edges, by_delay
     sorted_delays = edge_delays[order]
     del edge_delays
     targets = indices[order]
@@ -361,9 +378,10 @@ def run(config: SimConfig) -> SpikeTrace:
 
     # A fire entry is (time, node, seq, _FIRE, version, None); a delivery
     # cursor is (time, source, seq, k, emit time, lane), whose head is the
-    # lane's k-th delivery of the fire that took seq. A fire's entry and
-    # cursor share seq and differ in k, so (seq, k) is unique and tuple
-    # comparison never passes k.
+    # lane's k-th delivery of the fire that took seq. A cursor's lane is
+    # (delays, targets, end): it delivers up to end, the count of arrivals
+    # within the duration. A fire's entry and cursor share seq and differ
+    # in k, so (seq, k) is unique and tuple comparison never passes k.
     heap: list[tuple] = [(origin[i] + T, i, i, _FIRE, 0, None)
                          for i in range(n)]
     heapq.heapify(heap)
@@ -371,13 +389,22 @@ def run(config: SimConfig) -> SpikeTrace:
 
     fire_times: list[float] = []
     fire_nodes: list[int] = []
-    pops = 0
+    # Every first fire, at T - phase <= T <= duration, is an event.
+    events = n
     max_events = config.max_events
     heappush, heappop, heapreplace = (heapq.heappush, heapq.heappop,
                                       heapq.heapreplace)
 
+    def overflow() -> EventQueueOverflowError:
+        return EventQueueOverflowError(
+            max_events, config.coupling_strength, config.refractory_fraction,
+        )
+
+    if events > max_events:
+        raise overflow()
+
     def fire(i: int, t: float, natural: bool = True) -> None:
-        nonlocal seq
+        nonlocal seq, events
         fire_times.append(t)
         fire_nodes.append(i)
         if audit is not None and natural:
@@ -386,49 +413,46 @@ def run(config: SimConfig) -> SpikeTrace:
         last_fire[i] = t
         origin[i] = t
         version[i] += 1
-        heappush(heap, (t + T, i, seq, _FIRE, version[i], None))
+        if t + T <= duration:
+            heappush(heap, (t + T, i, seq, _FIRE, version[i], None))
+            events += 1
         if couple:
             lane = lanes[i]
             if i in tied:
                 lane = _arrival_order(lane, tied[i], t)
-            delays, _, fan = lane
-            if fan:
+            delays, targets, fan = lane
+            # The cursor stops at the first arrival after the duration.
+            if fan and t + delays[-1] > duration:
+                end = bisect_right(delays, duration, 0, fan,
+                                   key=lambda d: t + d)
+                lane = (delays, targets, end)
+            else:
+                end = fan
+            if end:
                 heappush(heap, (t + delays[0], i, seq, 0, t, lane))
+                events += end
         seq += 1
-
-    def overflow() -> EventQueueOverflowError:
-        return EventQueueOverflowError(
-            max_events, config.coupling_strength, config.refractory_fraction,
-        )
+        if events > max_events:
+            raise overflow()
 
     while heap:
         t, src, fire_seq, k, emit, lane = heap[0]
-        if t > duration:
-            break
-        pops += 1
-        if pops > max_events:
-            raise overflow()
         if k == _FIRE:
             heappop(heap)
             if emit == version[src]:
                 fire(src, t)
             # else: superseded by a phase advance or induced fire
             continue
-        delays, targets, fan = lane
+        delays, targets, end = lane
         target = targets[k]
         k += 1
         if audit is None:
             # Skip the deliveries that would pop refractory: last_fire
-            # only grows, so they would. Each still counts as an event.
-            while k < fan:
-                a = emit + delays[k]
-                if a > duration or a - last_fire[targets[k]] >= refractory:
-                    break
+            # only grows, so they would.
+            while (k < end and emit + delays[k] - last_fire[targets[k]]
+                   < refractory):
                 k += 1
-                pops += 1
-            if pops > max_events:
-                raise overflow()
-        if k < fan:
+        if k < end:
             heapreplace(heap, (emit + delays[k], src, fire_seq, k, emit,
                                lane))
         else:
@@ -450,8 +474,12 @@ def run(config: SimConfig) -> SpikeTrace:
         else:
             origin[target] = t - advanced
             version[target] += 1
-            heappush(heap, (origin[target] + T, target, seq, _FIRE,
-                            version[target], None))
+            if origin[target] + T <= duration:
+                heappush(heap, (origin[target] + T, target, seq, _FIRE,
+                                version[target], None))
+                events += 1
+                if events > max_events:
+                    raise overflow()
             seq += 1
             if audit is not None:
                 audit.append(
@@ -464,7 +492,7 @@ def run(config: SimConfig) -> SpikeTrace:
         n_nodes=n,
         natural_period=T,
         duration=duration,
-        n_events=pops,
+        n_events=events,
         audit=tuple(audit) if audit is not None else None,
     )
 
@@ -516,11 +544,15 @@ def synchrony_metrics(trace: SpikeTrace, window: float | None = None,
     per_node = np.where(np.bincount(nodes, minlength=n) > 0,
                         (mean_angle / (2.0 * np.pi)) % 1.0 * period, np.nan)
 
+    # Trace times never decrease, so period k's spikes, [k T, (k+1) T),
+    # are the slice between the first indices at or past its two edges.
     n_periods = int(trace.duration / period)
+    edges = np.searchsorted(trace.times,
+                            [k * period for k in range(n_periods + 1)])
     converged_from: float | None = None
     for k in range(n_periods):
-        w0, w1 = k * period, (k + 1) * period
-        wt = trace.times[(trace.times >= w0) & (trace.times < w1)]
+        w0 = k * period
+        wt = trace.times[edges[k]:edges[k + 1]]
         ok = len(wt) > 0 and _order_parameter(wt, period) >= lock_threshold
         if ok and converged_from is None:
             converged_from = w0

@@ -89,6 +89,27 @@ def test_delivery_on_its_sources_next_fire_follows_that_fire():
     assert_same_run(trace, reference_run(config))
 
 
+@pytest.mark.parametrize("record_audit", [False, True])
+def test_arrival_on_the_duration_counts_and_later_ones_do_not(record_audit):
+    # Node 0 fires at 0.5 and its delivery lands at 1.0, exactly on the
+    # duration: it counts as an event. Node 1 fires at 0.8; its delivery
+    # lands at 1.3, and every later fire falls past the end.
+    config = SimConfig(positions=[[0.0], [0.5]], signal_velocity=1.0,
+                       natural_period=1.0, duration=1.0,
+                       coupling_strength=0.1, refractory_fraction=0.0,
+                       initial_phases=np.array([0.5, 0.2]),
+                       record_audit=record_audit)
+    trace = run(config)
+    assert trace.times.tolist() == [0.5, 0.8]
+    # Two initial fires and the delivery at 1.0.
+    assert trace.n_events == 3
+    assert_same_run(trace, reference_run(config))
+    exact = dataclasses.replace(config, max_events=3)
+    assert_same_run(run(exact), reference_run(exact))
+    with pytest.raises(EventQueueOverflowError):
+        run(dataclasses.replace(config, max_events=2))
+
+
 @st.composite
 def positions(draw, n):
     kind = draw(st.sampled_from(["uniform", "lattice", "near_tie"]))

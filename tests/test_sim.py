@@ -7,13 +7,22 @@ import scipy.sparse as sp
 
 from lightcone import (
     EventQueueOverflowError,
+    PowerLaw,
     SampledGraph,
     SimConfig,
+    SpikeTrace,
     pairwise_delays,
     run,
+    sample_graph,
     synchrony_metrics,
 )
-from lightcone.sim import _lanes
+from lightcone.sim import (
+    _delays,
+    _has_rounding_tie,
+    _lanes,
+    _neighbour_lists,
+    _order_parameter,
+)
 
 
 def two_node_oracle(distance, velocity, period, coupling, refractory,
@@ -503,3 +512,120 @@ class TestClusterRegression:
         assert report.order_parameter == pytest.approx(0.997867486384038,
                                                        rel=1e-9)
         assert report.locked
+
+
+def lexsort_lanes(config):
+    """Lanes and tied ranks from one ``np.lexsort((delays, rows))``."""
+    indptr, indices = _neighbour_lists(config)
+    rows = np.repeat(np.arange(config.n_nodes), np.diff(indptr))
+    delays = _delays(config.positions, rows, indices,
+                     config.signal_velocity)
+    order = np.lexsort((delays, rows))
+    delays, targets = delays[order], indices[order]
+    tol = math.ulp(config.duration + float(delays.max(initial=0.0)))
+    lanes, tied = [], {}
+    for i, (a, b) in enumerate(zip(indptr[:-1].tolist(),
+                                   indptr[1:].tolist())):
+        lanes.append((delays[a:b].tolist(), targets[a:b].tolist(), b - a))
+        if _has_rounding_tie(delays[a:b].tolist(), order[a:b].tolist(), tol):
+            tied[i] = order[a:b].tolist()
+    return lanes, tied
+
+
+def powerlaw_with_isolated_nodes():
+    graph = sample_graph(PowerLaw(2.2), 120, 3)
+    keep = np.ones(120)
+    keep[::7] = 0.0
+    cut = sp.diags(keep)
+    adjacency = (cut @ graph.adjacency @ cut).tocsr()
+    adjacency.eliminate_zeros()
+    return SampledGraph(n_nodes=120, adjacency=adjacency, seed=3)
+
+
+class TestLaneOrder:
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_all_to_all_matches_lexsort(self, dim):
+        pos = np.random.default_rng(dim).uniform(-1.0, 1.0, (50, dim))
+        config = SimConfig(positions=pos, signal_velocity=0.7,
+                           natural_period=1.0, duration=3.0)
+        assert _lanes(config) == lexsort_lanes(config)
+
+    def test_sampled_graph_with_isolated_nodes_matches_lexsort(self):
+        graph = powerlaw_with_isolated_nodes()
+        fans = np.diff(graph.adjacency.indptr)
+        assert (fans == 0).any() and len(np.unique(fans)) > 3
+        config = SimConfig(
+            positions=np.random.default_rng(4).uniform(0, 1, (120, 2)),
+            signal_velocity=1.0, natural_period=1.0, duration=3.0,
+            topology=graph)
+        assert _lanes(config) == lexsort_lanes(config)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_near_ties_match_lexsort(self, dim):
+        # Coordinates whose distances collide or miss by one ulp; equal
+        # delays must keep neighbour order, and tied sources their ranks.
+        near = [0.0, 0.1, math.nextafter(0.1, 1.0), -0.1,
+                -math.nextafter(0.1, 1.0), 0.2, 0.3]
+        pos = np.random.default_rng(dim).choice(near, (24, dim))
+        config = SimConfig(positions=pos, signal_velocity=0.3,
+                           natural_period=1.0, duration=2.0)
+        assert _lanes(config) == lexsort_lanes(config)
+
+    def test_rounding_tie_keeps_its_ranks(self):
+        a, b = 0.1, math.nextafter(0.1, 1.0)
+        config = SimConfig(positions=[[0.0], [b], [-a]], signal_velocity=1.0,
+                           natural_period=1.0, duration=1.0)
+        lanes, tied = _lanes(config)
+        assert tied == {0: [1, 0]}
+        assert (lanes, tied) == lexsort_lanes(config)
+
+
+def mask_loop_convergence(trace, lock_threshold):
+    """Convergence time with each period's spikes picked by a mask."""
+    period = trace.natural_period
+    converged_from = None
+    for k in range(int(trace.duration / period)):
+        w0, w1 = k * period, (k + 1) * period
+        wt = trace.times[(trace.times >= w0) & (trace.times < w1)]
+        ok = len(wt) > 0 and _order_parameter(wt, period) >= lock_threshold
+        if ok and converged_from is None:
+            converged_from = w0
+        elif not ok:
+            converged_from = None
+    return converged_from
+
+
+class TestConvergenceWindows:
+    def test_spike_on_a_period_edge_opens_the_next_window(self):
+        # One mid-period spike per period, plus spikes exactly on the
+        # edges 0.7 and 2 * 0.7. Each edge spike belongs to the period it
+        # opens, which it unlocks, so convergence starts at 3 * 0.7.
+        period = 0.7
+        mids = [k * period + 0.35 for k in range(6)]
+        times = np.array(sorted(mids + [1 * period, 2 * period]))
+        trace = SpikeTrace(times=times, nodes=np.zeros(len(times), np.int64),
+                           n_nodes=1, natural_period=period,
+                           duration=6 * period, n_events=len(times))
+        report = synchrony_metrics(trace, lock_threshold=0.9)
+        assert report.convergence_time == 3 * period
+        assert report.convergence_time == mask_loop_convergence(trace, 0.9)
+
+    @pytest.mark.parametrize("side", [0.1, 0.2, 1.0])
+    @pytest.mark.parametrize("threshold", [0.5, 0.9, 0.99])
+    def test_matches_mask_loop(self, side, threshold):
+        rng = np.random.default_rng(9)
+        trace = run(SimConfig(positions=rng.uniform(0, side, (32, 2)),
+                              signal_velocity=1.0, natural_period=1.0,
+                              duration=12.0,
+                              initial_phases=rng.uniform(0, 1.0, 32)))
+        # Move a few spikes onto period edges, keeping time order.
+        times = trace.times.copy()
+        times[::40] = np.floor(times[::40])
+        times = np.maximum.accumulate(times)
+        edged = SpikeTrace(times=times, nodes=trace.nodes, n_nodes=32,
+                           natural_period=1.0, duration=12.0,
+                           n_events=trace.n_events)
+        assert (edged.times == np.floor(edged.times)).any()
+        report = synchrony_metrics(edged, lock_threshold=threshold)
+        assert report.convergence_time == mask_loop_convergence(edged,
+                                                                threshold)
