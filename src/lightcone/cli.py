@@ -14,6 +14,7 @@ including a simulation that exceeds its event budget (``max_events``).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -324,7 +325,13 @@ def cmd_paper_check(args) -> int:
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``lightcone`` parser, built once per process.
+
+    Parsing reads the parser and never changes it, so every ``main`` call
+    shares one and the argparse setup is paid once.
+    """
     # One parent per shared flag group; each subcommand takes only the
     # groups it reads.
     out, fmt, config, seed, grid, law = (

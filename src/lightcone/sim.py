@@ -41,20 +41,28 @@ Uncoupled runs schedule no deliveries and build no delays.
 Events are counted when they are scheduled, not when they pop. Only an
 entry whose time is within the duration is pushed, and each counts as
 one event. A fire's cursor ends before its first arrival past the
-duration, found by bisecting the lane on t + delay, the heap key's own
-expression; the fire counts every delivery before that end. Every
-entry within the duration would pop, so n_events is the number of pops
-of one entry per delivery, and the budget raises in the same runs.
+duration: bisecting the lane's delays on duration - t lands within a
+few steps of it, and steps on t + delay <= duration, the heap key's own
+expression, find it exactly. The fire counts every delivery before that
+end. Every entry within the duration would pop, so n_events is the
+number of pops of one entry per delivery, and the budget raises in the
+same runs.
 
 Most deliveries land in the target's refractory window and change
-nothing. Each time a cursor is popped, it first steps past every later
-delivery whose arrival a (emit + delay, as the heap key computes it)
-has a - last_fire[target] < refractory, so a cursor is re-keyed once
-per delivery that can still matter. The skip is exact: last_fire only
-grows and rounded subtraction is monotone, so such a delivery would
+nothing. When node j fires at t it stores ready[j] =
+_refractory_end(t, refractory), the least float a with a - t >=
+refractory as rounded; rounded subtraction is monotone, so an arrival a
+is refractory exactly when a < ready[j]. A cursor steps past every
+delivery with emit + delay < ready[target] before its first push and
+each time it pops, so it is re-keyed once per delivery that can still
+matter. The skip is exact: ready only grows, so such a delivery would
 still be refractory when it popped, and skipping it changes no state or
-the trace. Runs with record_audit keep one pop per delivery, so their
-log lists refractory deliveries in event order.
+the trace. Each lane ends in a sentinel delivery (delay inf, target
+slot n, ready[n] = -inf) that stops every scan, so a skip step is one
+float comparison; on the sweep benchmark's 64-node cells the loop
+costs 0.47 us per event (BENCH_13.json, 2 shared cores). Runs with
+record_audit keep one pop per delivery, so their log lists refractory
+deliveries in event order.
 """
 from __future__ import annotations
 
@@ -294,14 +302,15 @@ def _has_rounding_tie(delays: list[float], ranks: list[int],
 def _lanes(config: SimConfig) -> tuple[list[tuple], dict[int, list[int]]]:
     """Each source's deliveries in (delay, neighbour position) order.
 
-    A lane is ``(delays, targets, fan)``: two lists and their length,
-    each delay computed from the edge's two endpoints, so no N x N matrix
-    is built. A source is *tied* when two of its distinct delays could
-    round to one arrival time out of neighbour-position order. Only tied
-    sources keep ranks (their CSR edge indices, which order like the
-    positions), and their fires re-sort the lane by arrival time. The
-    edge-sized arrays are freed before the lists are built, so the peak
-    stays close to what the lanes hold.
+    A lane is ``(delays, targets, fan)``: two lists of fan deliveries and
+    a sentinel (delay inf, target n), each delay computed from the edge's
+    two endpoints, so no N x N matrix is built. A source is *tied* when
+    two of its distinct delays could round to one arrival time out of
+    neighbour-position order. Only tied sources keep ranks (their CSR
+    edge indices, which order like the positions), and their fires
+    re-sort the lane by arrival time. The edge-sized arrays are freed
+    before the lists are built, so the peak stays close to what the
+    lanes hold.
     """
     indptr, indices = _neighbour_lists(config)
     bounds = list(zip(indptr[:-1].tolist(), indptr[1:].tolist()))
@@ -339,8 +348,13 @@ def _lanes(config: SimConfig) -> tuple[list[tuple], dict[int, list[int]]]:
         if _has_rounding_tie(sorted_delays[a:b].tolist(), ranks, tol):
             tied[i] = ranks
     del order
-    lanes = [(sorted_delays[a:b].tolist(), targets[a:b].tolist(), b - a)
-             for a, b in bounds]
+    # Each lane ends in a sentinel delivery, delay inf to slot n, past
+    # which no scan steps: lane i spans [a + i, b + i] here.
+    sorted_delays = np.insert(sorted_delays, indptr[1:], math.inf)
+    targets = np.insert(targets, indptr[1:], config.n_nodes)
+    lanes = [(sorted_delays[a + i:b + i + 1].tolist(),
+              targets[a + i:b + i + 1].tolist(), b - a)
+             for i, (a, b) in enumerate(bounds)]
     return lanes, tied
 
 
@@ -348,7 +362,25 @@ def _arrival_order(lane: tuple, ranks: list[int], t: float) -> tuple:
     """A tied source's lane for a fire at ``t``: by (t + delay, rank)."""
     delays, targets, fan = lane
     order = sorted(range(fan), key=lambda k: (t + delays[k], ranks[k]))
-    return [delays[k] for k in order], [targets[k] for k in order], fan
+    return ([delays[k] for k in order] + delays[fan:],
+            [targets[k] for k in order] + targets[fan:], fan)
+
+
+def _refractory_end(t: float, refractory: float) -> float:
+    """The least float ``a`` with ``a - t >= refractory``, as rounded.
+
+    Rounded subtraction is monotone in ``a``, so after a fire at ``t`` an
+    arrival ``a`` is refractory exactly when ``a < _refractory_end(t,
+    refractory)``. ``t + refractory`` is within a few steps of it.
+    """
+    end = t + refractory
+    while end - t < refractory:
+        end = math.nextafter(end, math.inf)
+    below = math.nextafter(end, -math.inf)
+    while below - t >= refractory:
+        end = below
+        below = math.nextafter(end, -math.inf)
+    return end
 
 
 def run(config: SimConfig) -> SpikeTrace:
@@ -372,17 +404,22 @@ def run(config: SimConfig) -> SpikeTrace:
 
     # phi_i(t) = t - origin[i]; the pending natural fire sits at origin + T.
     origin = [-float(p) for p in phases]
-    last_fire = [-math.inf] * n
+    # An arrival at node j is refractory exactly when it is < ready[j].
+    # Slot n, the sentinel deliveries' target, is never refractory.
+    ready = [-math.inf] * (n + 1)
     version = [0] * n
     audit: list[AuditRecord] | None = [] if config.record_audit else None
+    # Cursors step past the deliveries that are < skip[target]. Audit runs
+    # pop every delivery, so their skip list never moves from -inf.
+    skip = ready if audit is None else [-math.inf] * (n + 1)
 
-    # A fire entry is (time, node, seq, _FIRE, version, None); a delivery
-    # cursor is (time, source, seq, k, emit time, lane), whose head is the
-    # lane's k-th delivery of the fire that took seq. A cursor's lane is
-    # (delays, targets, end): it delivers up to end, the count of arrivals
-    # within the duration. A fire's entry and cursor share seq and differ
-    # in k, so (seq, k) is unique and tuple comparison never passes k.
-    heap: list[tuple] = [(origin[i] + T, i, i, _FIRE, 0, None)
+    # A fire entry is (time, node, seq, _FIRE, version, None, None, 0); a
+    # delivery cursor is (time, source, seq, k, emit time, delays,
+    # targets, end), whose head is the lane's k-th delivery of the fire
+    # that took seq. It delivers up to end, the count of arrivals within
+    # the duration. A fire's entry and cursor share seq and differ in k,
+    # so (seq, k) is unique and tuple comparison never passes k.
+    heap: list[tuple] = [(origin[i] + T, i, i, _FIRE, 0, None, None, 0)
                          for i in range(n)]
     heapq.heapify(heap)
     seq = n
@@ -403,88 +440,85 @@ def run(config: SimConfig) -> SpikeTrace:
     if events > max_events:
         raise overflow()
 
-    def fire(i: int, t: float, natural: bool = True) -> None:
-        nonlocal seq, events
+    while heap:
+        t, i, fire_seq, k, emit, delays, targets, end = heap[0]
+        if k == _FIRE:
+            heappop(heap)
+            if emit != version[i]:
+                continue  # superseded by a phase advance or induced fire
+            if audit is not None:
+                audit.append(AuditRecord("fire", t, i, i, t, "fire"))
+        else:
+            target = targets[k]
+            # Step past the deliveries that would pop refractory: ready
+            # only grows, so they would. The lane's sentinel stops the scan.
+            k += 1
+            while emit + delays[k] < skip[targets[k]]:
+                k += 1
+            if k < end:
+                heapreplace(heap, (emit + delays[k], i, fire_seq, k, emit,
+                                   delays, targets, end))
+            else:
+                heappop(heap)
+            if t < ready[target]:
+                if audit is not None:
+                    audit.append(AuditRecord("delivery", t, i, target, emit,
+                                             "refractory"))
+                continue
+            advanced = t - origin[target] + eps_dt
+            if advanced < T:
+                start = t - advanced
+                origin[target] = start
+                version[target] += 1
+                if start + T <= duration:
+                    heappush(heap, (start + T, target, seq, _FIRE,
+                                    version[target], None, None, 0))
+                    events += 1
+                    if events > max_events:
+                        raise overflow()
+                seq += 1
+                if audit is not None:
+                    audit.append(AuditRecord("delivery", t, i, target, emit,
+                                             "advance"))
+                continue
+            # The advance reaches threshold: the target fires now.
+            if audit is not None:
+                audit.append(AuditRecord("delivery", t, i, target, emit,
+                                         "cap_fire"))
+            i = target
+
+        # Node i fires at t.
         fire_times.append(t)
         fire_nodes.append(i)
-        if audit is not None and natural:
-            # Cap-induced fires are already logged by their delivery record.
-            audit.append(AuditRecord("fire", t, i, i, t, "fire"))
-        last_fire[i] = t
+        ready[i] = _refractory_end(t, refractory)
         origin[i] = t
         version[i] += 1
         if t + T <= duration:
-            heappush(heap, (t + T, i, seq, _FIRE, version[i], None))
+            heappush(heap, (t + T, i, seq, _FIRE, version[i], None, None, 0))
             events += 1
         if couple:
-            lane = lanes[i]
-            if i in tied:
-                lane = _arrival_order(lane, tied[i], t)
-            delays, targets, fan = lane
+            delays, targets, fan = (_arrival_order(lanes[i], tied[i], t)
+                                    if i in tied else lanes[i])
             # The cursor stops at the first arrival after the duration.
-            if fan and t + delays[-1] > duration:
-                end = bisect_right(delays, duration, 0, fan,
-                                   key=lambda d: t + d)
-                lane = (delays, targets, end)
-            else:
-                end = fan
+            # Bisecting on the delay lands within a few steps of it.
+            end = fan
+            if t + delays[fan - 1] > duration:
+                end = bisect_right(delays, duration - t, 0, fan)
+                while end and t + delays[end - 1] > duration:
+                    end -= 1
+                while end < fan and t + delays[end] <= duration:
+                    end += 1
             if end:
-                heappush(heap, (t + delays[0], i, seq, 0, t, lane))
                 events += end
+                k = 0
+                while t + delays[k] < skip[targets[k]]:
+                    k += 1
+                if k < end:
+                    heappush(heap, (t + delays[k], i, seq, k, t, delays,
+                                    targets, end))
         seq += 1
         if events > max_events:
             raise overflow()
-
-    while heap:
-        t, src, fire_seq, k, emit, lane = heap[0]
-        if k == _FIRE:
-            heappop(heap)
-            if emit == version[src]:
-                fire(src, t)
-            # else: superseded by a phase advance or induced fire
-            continue
-        delays, targets, end = lane
-        target = targets[k]
-        k += 1
-        if audit is None:
-            # Skip the deliveries that would pop refractory: last_fire
-            # only grows, so they would.
-            while (k < end and emit + delays[k] - last_fire[targets[k]]
-                   < refractory):
-                k += 1
-        if k < end:
-            heapreplace(heap, (emit + delays[k], src, fire_seq, k, emit,
-                               lane))
-        else:
-            heappop(heap)
-        if t - last_fire[target] < refractory:
-            if audit is not None:
-                audit.append(
-                    AuditRecord("delivery", t, src, target, emit, "refractory")
-                )
-            continue
-        phi = t - origin[target]
-        advanced = phi + eps_dt
-        if advanced >= T:
-            if audit is not None:
-                audit.append(
-                    AuditRecord("delivery", t, src, target, emit, "cap_fire")
-                )
-            fire(target, t, natural=False)
-        else:
-            origin[target] = t - advanced
-            version[target] += 1
-            if origin[target] + T <= duration:
-                heappush(heap, (origin[target] + T, target, seq, _FIRE,
-                                version[target], None))
-                events += 1
-                if events > max_events:
-                    raise overflow()
-            seq += 1
-            if audit is not None:
-                audit.append(
-                    AuditRecord("delivery", t, src, target, emit, "advance")
-                )
 
     return SpikeTrace(
         times=np.asarray(fire_times, dtype=float),

@@ -5,6 +5,8 @@ from pathlib import Path
 
 import pytest
 
+from lightcone import cli
+
 
 def run_cli(*args: str) -> subprocess.CompletedProcess:
     cmd = [sys.executable, "-m", "lightcone", *args]
@@ -282,3 +284,32 @@ def test_bad_whole_number_flag_is_usage_error(tmp_path: Path, flag, value,
     assert "Traceback" not in result.stderr
     errors = [l for l in result.stderr.splitlines() if "error:" in l]
     assert len(errors) == 1 and f"argument {flag}:" in errors[0]
+
+
+def test_one_parser_serves_many_calls_like_fresh_processes(tmp_path: Path,
+                                                            capsys,
+                                                            monkeypatch):
+    # build_parser is cached, so these calls share one parser. A failed
+    # parse must leave nothing behind: each call prints and exits exactly
+    # as it does in a fresh process.
+    monkeypatch.setenv("COLUMNS", "80")
+    config_path = tmp_path / "sim.json"
+    config_path.write_text(json.dumps(SIM_CONFIG))
+    calls = [
+        ["sweep", "--config", str(config_path), "--seed", "1"],
+        ["sweep", "--config", str(config_path), "--format", "csv"],
+        ["--help"],
+    ]
+    cli.build_parser.cache_clear()
+    shared = []
+    for argv in calls:
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        shared.append((code, captured.out, captured.err))
+    assert cli.build_parser() is cli.build_parser()
+    fresh = [run_cli(*argv) for argv in calls]
+    assert shared == [(r.returncode, r.stdout, r.stderr) for r in fresh]
+    assert [code for code, _, _ in shared] == [2, 0, 0]

@@ -1,0 +1,120 @@
+"""The engine's invariants as properties, on ``run`` and the frozen reference.
+
+Each property holds for the model itself, so both engines must satisfy
+it on every drawn config: a failure on ``run`` alone is an engine bug,
+a failure on both is a fact about the model.
+"""
+import dataclasses
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from lightcone import EventQueueOverflowError, SampledGraph, SimConfig, run
+from lightcone.sim import pairwise_delays
+from sim_reference import reference_run
+from test_engine_reference import positions, topologies
+
+ENGINES = pytest.mark.parametrize("engine", [run, reference_run],
+                                  ids=["run", "reference"])
+EXAMPLES = settings(max_examples=50, deadline=None)
+
+
+@st.composite
+def small_configs(draw, couplings=st.sampled_from([0.0, 0.1, 0.3, 0.5]),
+                  record_audit=False):
+    n = draw(st.integers(1, 8))
+    period = draw(st.sampled_from([1.0, 0.7]))
+    phases = draw(st.lists(
+        st.floats(0.0, period, exclude_max=True, allow_subnormal=False),
+        min_size=n, max_size=n))
+    return SimConfig(
+        positions=draw(positions(n)),
+        signal_velocity=draw(st.sampled_from([1.0, 0.3, 2.0])),
+        natural_period=period,
+        duration=period * draw(st.integers(1, 4)),
+        coupling_strength=draw(couplings),
+        refractory_fraction=draw(st.floats(0.0, 0.45)),
+        initial_phases=np.array(phases),
+        topology=draw(topologies(n)),
+        max_events=20_000,
+        record_audit=record_audit,
+    )
+
+
+def outcome(engine, config):
+    try:
+        return engine(config)
+    except EventQueueOverflowError:
+        return None
+
+
+def neighbours(config: SimConfig) -> np.ndarray:
+    """Dense (n, n) mask of the pairs that carry spikes."""
+    if isinstance(config.topology, SampledGraph):
+        return config.topology.adjacency.toarray() != 0
+    return ~np.eye(config.n_nodes, dtype=bool)
+
+
+@ENGINES
+@EXAMPLES
+@given(config=small_configs(), extra_periods=st.integers(1, 3))
+def test_shorter_run_is_a_prefix(engine, config, extra_periods):
+    # Nothing after the duration can move an earlier event, so a shorter
+    # run is the longer run's fires up to its duration, bit for bit.
+    longer = dataclasses.replace(
+        config,
+        duration=config.duration + extra_periods * config.natural_period)
+    long_trace = outcome(engine, longer)
+    assume(long_trace is not None)
+    trace = outcome(engine, config)
+    # The shorter run schedules a subset of the longer run's events.
+    assert trace is not None
+    early = long_trace.times <= config.duration
+    assert trace.times.tobytes() == long_trace.times[early].tobytes()
+    assert trace.nodes.tobytes() == long_trace.nodes[early].tobytes()
+
+
+@ENGINES
+@EXAMPLES
+@given(config=small_configs())
+def test_no_node_fires_twice_within_the_refractory_window(engine, config):
+    trace = outcome(engine, config)
+    assume(trace is not None)
+    refractory = config.refractory_fraction * config.natural_period
+    for node in range(config.n_nodes):
+        assert (np.diff(trace.node_fire_times(node)) >= refractory).all()
+
+
+@ENGINES
+@EXAMPLES
+@given(config=small_configs(couplings=st.sampled_from([0.1, 0.3, 0.5]),
+                            record_audit=True))
+def test_cap_fires_replay_from_earlier_fires(engine, config):
+    # Every fire the audit log calls cap-induced must land exactly on the
+    # emit time of some fire of a neighbour plus that pair's delay.
+    trace = outcome(engine, config)
+    assume(trace is not None)
+    delays = pairwise_delays(config.positions, config.signal_velocity)
+    linked = neighbours(config)
+    fires = list(zip(trace.times.tolist(), trace.nodes.tolist()))
+    for record in trace.audit:
+        if record.outcome != "cap_fire":
+            continue
+        assert (record.time, record.target) in fires
+        arrivals = {(emit + delays[src, record.target], src, emit)
+                    for emit, src in fires if linked[src, record.target]}
+        assert (record.time, record.source, record.emit_time) in arrivals
+
+
+@ENGINES
+@EXAMPLES
+@given(config=small_configs(couplings=st.just(0.0)),
+       scale=st.floats(0.01, 100.0))
+def test_null_control_ignores_the_geometry(engine, config, scale):
+    scaled = dataclasses.replace(config, positions=config.positions * scale)
+    trace, scaled_trace = engine(config), engine(scaled)
+    assert scaled_trace.times.tobytes() == trace.times.tobytes()
+    assert scaled_trace.nodes.tobytes() == trace.nodes.tobytes()
+    assert scaled_trace.n_events == trace.n_events

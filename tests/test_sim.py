@@ -4,6 +4,8 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lightcone import (
     EventQueueOverflowError,
@@ -22,6 +24,7 @@ from lightcone.sim import (
     _lanes,
     _neighbour_lists,
     _order_parameter,
+    _refractory_end,
 )
 
 
@@ -232,8 +235,10 @@ class TestLanes:
         config = SimConfig(positions=pos, signal_velocity=0.7,
                            natural_period=1.0, duration=1.0)
         lanes, _ = _lanes(config)
-        for i, (lane_delays, targets, _) in enumerate(lanes):
-            assert lane_delays == delays[i, targets].tolist()
+        for i, (lane_delays, targets, fan) in enumerate(lanes):
+            assert lane_delays[:fan] == delays[i, targets[:fan]].tolist()
+            # Every lane ends in one sentinel delivery: delay inf, slot n.
+            assert (lane_delays[fan:], targets[fan:]) == ([math.inf], [40])
 
     def test_lane_setup_peaks_near_what_the_lanes_hold(self):
         # The edge-sized temporaries must be freed before the per-source
@@ -515,7 +520,10 @@ class TestClusterRegression:
 
 
 def lexsort_lanes(config):
-    """Lanes and tied ranks from one ``np.lexsort((delays, rows))``."""
+    """Lanes and tied ranks from one ``np.lexsort((delays, rows))``.
+
+    Each lane ends in the engine's sentinel delivery (delay inf, slot n).
+    """
     indptr, indices = _neighbour_lists(config)
     rows = np.repeat(np.arange(config.n_nodes), np.diff(indptr))
     delays = _delays(config.positions, rows, indices,
@@ -526,7 +534,8 @@ def lexsort_lanes(config):
     lanes, tied = [], {}
     for i, (a, b) in enumerate(zip(indptr[:-1].tolist(),
                                    indptr[1:].tolist())):
-        lanes.append((delays[a:b].tolist(), targets[a:b].tolist(), b - a))
+        lanes.append((delays[a:b].tolist() + [math.inf],
+                      targets[a:b].tolist() + [config.n_nodes], b - a))
         if _has_rounding_tie(delays[a:b].tolist(), order[a:b].tolist(), tol):
             tied[i] = order[a:b].tolist()
     return lanes, tied
@@ -629,3 +638,45 @@ class TestConvergenceWindows:
         report = synchrony_metrics(edged, lock_threshold=threshold)
         assert report.convergence_time == mask_loop_convergence(edged,
                                                                 threshold)
+
+
+@st.composite
+def fire_and_window(draw):
+    """A fire time t and refractory window r, with t + r finite."""
+    kind = draw(st.sampled_from(["any", "zero", "huge_t", "sub_half_ulp"]))
+    t = draw(st.floats(-1e300, 1e300) if kind == "any" else
+             st.floats(1e15, 1e300) if kind == "huge_t" else
+             st.floats(-1e6, 1e6))
+    if kind == "zero":
+        return t, 0.0
+    if kind == "sub_half_ulp":
+        # So small that t + r rounds back to t.
+        return t, draw(st.floats(0.0, 0.5, exclude_max=True)) * math.ulp(t)
+    return t, draw(st.floats(0.0, 1e6))
+
+
+class TestRefractoryEnd:
+    """``_refractory_end(t, r)`` is the least float a with a - t >= r."""
+
+    @staticmethod
+    def assert_exact(t, r):
+        end = _refractory_end(t, r)
+        for x in (math.nextafter(end, -math.inf), end,
+                  math.nextafter(end, math.inf)):
+            assert (x < end) == (x - t < r), (t, r, x)
+
+    def test_sum_that_rounds_short_moves_up_one_step(self):
+        # 0.5 + 0.1 rounds down, so an arrival at exactly t + r is still
+        # inside the window: the end is the next float up.
+        t, r = 0.5, 0.1
+        assert (t + r) - t < r
+        assert _refractory_end(t, r) == math.nextafter(t + r, math.inf)
+        self.assert_exact(t, r)
+
+    def test_zero_window_ends_at_the_fire(self):
+        assert _refractory_end(0.7, 0.0) == 0.7
+
+    @settings(max_examples=500, deadline=None)
+    @given(fire_and_window())
+    def test_matches_rounded_subtraction(self, case):
+        self.assert_exact(*case)
