@@ -68,18 +68,19 @@ def check_each(name: str, values, *, gt=None, ge=None, lt=None,
     """``check_number`` on every element, each named like ``name[i, j]``.
 
     A float array is screened in one vectorized pass of the same rule and
-    only the elements it flags are checked one by one; other input, such
-    as a list that may hold bools or strings, is checked element by
-    element.
+    only the elements it flags are boxed, as Python floats, and checked
+    one by one; other input, such as a list that may hold bools or
+    strings, is checked element by element.
     """
-    items = np.asarray(values, dtype=object)
     if isinstance(values, np.ndarray) and values.dtype.kind == "f":
         flagged = ~(np.isfinite(values) & _within(values, gt, ge, lt, le))
-        indices = map(tuple, np.argwhere(flagged))
+        items = ((index, values[index].item())
+                 for index in map(tuple, np.argwhere(flagged)))
     else:
-        indices = np.ndindex(items.shape)
-    for index in indices:
-        check_number(f"{name}[{', '.join(map(str, index))}]", items[index],
+        boxed = np.asarray(values, dtype=object)
+        items = ((index, boxed[index]) for index in np.ndindex(boxed.shape))
+    for index, value in items:
+        check_number(f"{name}[{', '.join(map(str, index))}]", value,
                      gt=gt, ge=ge, lt=lt, le=le)
 
 

@@ -5,11 +5,15 @@ produce integer degree sequences (floor plus stochastic remainder) and
 cleaned-up undirected graphs (no self-loops, no parallel edges), which
 serve as the empirical counterpart of the closed-form relations.
 
-scipy loads on the first sample or path-length measurement, inside the
-functions that build or search a sparse graph. The closed forms, the
-pool and hardware budgets and the simulator need only numpy, and scipy
-is about two thirds of a cold ``import lightcone``, so every CLI command
-that samples no graph starts without it.
+``scipy.sparse`` loads on the first sample or path-length measurement,
+inside the functions that build or search a sparse graph; it holds the
+adjacency matrices and nothing else. The closed forms, the pool and
+hardware budgets and the simulator need only numpy, and scipy is about
+two thirds of a cold ``import lightcone``, so every CLI command that
+samples no graph starts without it. scipy's sparse graph algorithms
+never load: components are labelled and distances summed in numpy, since
+importing those routines also brings in ``scipy.linalg`` and costs more
+memory than any array the criterion-5 measurement allocates.
 """
 from __future__ import annotations
 
@@ -118,13 +122,19 @@ class SampledGraph:
         return int(self.adjacency.nnz // 2)
 
     def edge_array(self) -> np.ndarray:
-        """(m, 2) array of edges with i < j, sorted; stable across runs."""
-        import scipy.sparse as sp
+        """(m, 2) array of edges with i < j, sorted; stable across runs.
 
-        coo = sp.triu(self.adjacency, k=1).tocoo()
-        edges = np.stack([coo.row, coo.col], axis=1)
-        order = np.lexsort((edges[:, 1], edges[:, 0]))
-        return edges[order]
+        Read from the CSR rows: each row's entries above the diagonal, in
+        column order, so the rows come out in order with no sort.
+        """
+        adjacency = self.adjacency
+        if not adjacency.has_sorted_indices:
+            adjacency = adjacency.sorted_indices()
+        cols = adjacency.indices
+        rows = np.repeat(np.arange(adjacency.shape[0], dtype=cols.dtype),
+                         np.diff(adjacency.indptr))
+        upper = cols > rows
+        return np.stack([rows[upper], cols[upper]], axis=1)
 
 
 @dataclass(frozen=True)
@@ -259,6 +269,7 @@ def _er_edge_list(n: int, p: float,
         u /= logq
         np.floor(u, out=u)
         idx = u.astype(np.int64)
+        del u
         idx += 1
         np.cumsum(idx, out=idx)
         idx += cur
@@ -358,8 +369,10 @@ def sample_graph(dist: DegreeDistribution, n_total: int, seed: int) -> SampledGr
     # Each edge once as (i, j), i < j, sorted: the upper triangle in CSR order.
     indptr = np.concatenate(([0], np.cumsum(np.bincount(rows,
                                                         minlength=n_total))))
-    upper = sp.csr_matrix((np.ones(len(rows)), cols, indptr),
+    del rows
+    upper = sp.csr_matrix((np.ones(len(cols)), cols, indptr),
                           shape=(n_total, n_total))
+    del cols, indptr  # upper holds its own int32 copies
     adjacency = upper + upper.T
     return SampledGraph(n_nodes=n_total, adjacency=adjacency, seed=seed,
                         target_degrees=target)
@@ -368,13 +381,48 @@ def sample_graph(dist: DegreeDistribution, n_total: int, seed: int) -> SampledGr
 def _components(adjacency: sp.csr_matrix) -> np.ndarray:
     """Component label of each node of a symmetric adjacency matrix.
 
-    On a symmetric matrix strong and weak components coincide, and the
-    strong search skips the transpose that ``directed=False`` builds.
-    """
-    from scipy.sparse.csgraph import connected_components
+    Hook and shortcut (Shiloach & Vishkin 1982, in the simplified form of
+    FastSV, Zhang, Azad & Hu 2020), over whole arrays. Every node points
+    at a node of its own component no larger than itself, so the pointers
+    form trees rooted at nodes that point at themselves. A round hooks
+    each node's root, and the node itself, onto the lowest pointer among
+    the node's neighbours, then jumps every pointer to its root. A round
+    that changes no pointer leaves each edge's ends with equal pointers,
+    so every component points at its lowest node. The criterion-5 G(n, p)
+    graph takes 3 rounds, the last one changing nothing; a randomly
+    numbered path takes fewer than log2 of its length (10 at 10^4 nodes,
+    15 at 10^6). Roots are then numbered in node order: labels run
+    0..c-1, one per component, so the partition is the one scipy's
+    ``connected_components`` finds (a tests-only oracle here). This
+    replaces that call, whose module's import also loads
+    ``scipy.linalg``: 11 MB of memory, more than any array the
+    measurement of the criterion graph allocates.
 
-    return connected_components(adjacency, directed=True,
-                                connection="strong")[1]
+    ``adjacency`` must be symmetric; only its sparsity structure is read.
+    """
+    n = adjacency.shape[0]
+    indptr = adjacency.indptr
+    # Pointers keep the CSR's index dtype, which halves the edge-sized
+    # gather; the edge list itself is intp, as take() indexes 8x slower
+    # with int32.
+    parent = np.arange(n, dtype=adjacency.indices.dtype)
+    indices = adjacency.indices.astype(np.intp)
+    rows = np.flatnonzero(np.diff(indptr))
+    starts = indptr[rows]
+    while len(rows):
+        low = np.minimum.reduceat(parent.take(indices), starts)
+        new = parent.copy()
+        np.minimum.at(new, parent.take(rows), low)
+        new[rows] = np.minimum(new.take(rows), low)
+        while True:
+            jumped = new.take(new)
+            if np.array_equal(jumped, new):
+                break
+            new = jumped
+        if np.array_equal(new, parent):
+            break
+        parent = new
+    return np.cumsum(parent == np.arange(n)).take(parent) - 1
 
 
 def _bfs_distance_sums(adjacency: sp.csr_matrix, sources: np.ndarray,

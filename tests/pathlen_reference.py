@@ -7,9 +7,10 @@ the COO-to-CSR route by which ``sample_graph`` built its symmetric
 adjacency before the one-pass ``upper + upper.T`` replaced it.
 ``reference_er_edge_list`` and ``reference_configuration_edges`` are the
 G(n, p) and configuration-model edge samplers as they were before the
-per-row-count rows and the one-key unique replaced their searches. Do
-not change them: the tests require the library to match them bit for
-bit.
+per-row-count rows and the one-key unique replaced their searches.
+``reference_edge_array`` is ``SampledGraph.edge_array`` as it was before
+it read the upper triangle straight from the CSR rows. Do not change
+them: the tests require the library to match them bit for bit.
 """
 from __future__ import annotations
 
@@ -79,6 +80,14 @@ def reference_adjacency(rows, cols, n_total):
     )
     adjacency.data[:] = 1.0  # collapse any duplicate accumulation
     return adjacency
+
+
+def reference_edge_array(adjacency) -> np.ndarray:
+    """(m, 2) edges with i < j by ``sp.triu``, ``tocoo`` and a lexsort."""
+    coo = sp.triu(adjacency, k=1).tocoo()
+    edges = np.stack([coo.row, coo.col], axis=1)
+    order = np.lexsort((edges[:, 1], edges[:, 0]))
+    return edges[order]
 
 
 def reference_distance_sums(adjacency, sources) -> np.ndarray:

@@ -1,9 +1,13 @@
-"""Commands that sample no graph start without scipy.
+"""Commands that sample no graph start without scipy, and graphs never
+load ``scipy.sparse.csgraph``.
 
 ``lightcone.graphs`` imports scipy inside the functions that build or
 search a sparse graph, so importing the package and running any command
-that samples no graph never loads it. The suite itself imports scipy,
-so the check runs in a fresh interpreter.
+that samples no graph never loads it. Sampling loads ``scipy.sparse``
+alone: components and distances are computed in numpy, so neither
+``scipy.sparse.csgraph`` nor the ``scipy.linalg`` it would bring in
+loads. The suite itself imports scipy, so the checks run in fresh
+interpreters.
 """
 import json
 import subprocess
@@ -63,3 +67,33 @@ def test_commands_without_a_graph_never_load_scipy(tmp_path: Path):
     assert report["after"] is True
     assert (tmp_path / "paper_check" / "paper_check.json").exists()
     assert (tmp_path / "simulate" / "spike_trace.csv").exists()
+
+
+GRAPH_SCRIPT = """
+import json
+import sys
+
+sys.path.insert(0, sys.argv[1])
+import lightcone
+
+graph = lightcone.sample_graph(lightcone.RandomGaussian(10**4, 2.5), 10**4, 0)
+result = lightcone.measure_avg_path_length(graph, source_sample=256)
+edges = graph.edge_array()
+print(json.dumps({"mean": result.mean, "edges": len(edges),
+                  "loaded": sorted(m for m in sys.modules
+                                   if m.startswith("scipy."))}))
+"""
+
+
+def test_sampling_and_measuring_never_load_csgraph():
+    result = subprocess.run([sys.executable, "-c", GRAPH_SCRIPT, SRC],
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    report = json.loads(result.stdout.splitlines()[-1])
+    # Criterion 5's rule: the formula's 2.5 within 10% of the mean.
+    assert abs(report["mean"] - 2.5) <= 0.1 * report["mean"]
+    assert report["edges"] > 0
+    assert "scipy.sparse" in report["loaded"]
+    for module in ("scipy.sparse.csgraph", "scipy.linalg",
+                   "scipy.sparse.linalg"):
+        assert module not in report["loaded"]

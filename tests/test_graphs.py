@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import networkx as nx
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse.csgraph import connected_components
 
 from lightcone import (
     DisconnectedGraphError,
@@ -32,6 +34,7 @@ from pathlen_reference import (
     reference_adjacency,
     reference_configuration_edges,
     reference_distance_sums,
+    reference_edge_array,
     reference_er_edge_list,
     reference_measure_avg_path_length,
 )
@@ -53,6 +56,17 @@ def assert_same_csr(a, b):
         assert x.dtype == y.dtype, name
         np.testing.assert_array_equal(x, y, err_msg=name)
     assert a.has_canonical_format == b.has_canonical_format
+
+
+def assert_same_partition(labels, adjacency):
+    """``labels`` split the nodes as scipy's ``connected_components`` does,
+    numbered 0..c-1 in the order of each component's lowest node."""
+    count, reference = connected_components(adjacency, directed=False)
+    assert labels.dtype == np.intp and labels.shape == reference.shape
+    first = np.unique(labels, return_index=True)[1]
+    assert np.array_equal(labels[np.sort(first)], np.arange(count))
+    # One label per reference component and back: a bijection.
+    assert len(set(zip(labels.tolist(), reference.tolist()))) == count
 
 
 def assert_sums_match_oracles(graph, edges, sources, nx_sources=None):
@@ -350,6 +364,54 @@ class TestSampleGraph:
         assert graph.n_edges == 0
         assert_same_csr(graph.adjacency, reference_adjacency(empty, empty, 50))
 
+    @pytest.mark.parametrize("dist,n_total", [
+        (RandomGaussian(n_total=10**4, avg_path_length=2.5), 10**4),
+        (PowerLaw(alpha=2.5, k_min=2.0), 2000),
+    ])
+    def test_edge_array_matches_frozen_triu_route(self, dist, n_total):
+        graph = sample_graph(dist, n_total, seed=4)
+        edges = graph.edge_array()
+        reference = reference_edge_array(graph.adjacency)
+        assert edges.dtype == reference.dtype == np.int32
+        assert edges.tobytes() == reference.tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(graphs_with_isolated_nodes())
+    def test_edge_array_matches_frozen_route_on_drawn_graphs(self, drawn):
+        graph, edges, rng = drawn
+        result = graph.edge_array()
+        reference = reference_edge_array(graph.adjacency)
+        assert result.dtype == reference.dtype
+        assert result.tobytes() == reference.tobytes()
+        assert result.tolist() == sorted(map(list, edges))
+        # The same graph with each row's columns stored out of order.
+        adjacency = graph.adjacency.copy()
+        for row in range(graph.n_nodes):
+            start, end = adjacency.indptr[row:row + 2]
+            adjacency.indices[start:end] = rng.permutation(
+                adjacency.indices[start:end])
+        adjacency.has_sorted_indices = False
+        shuffled = SampledGraph(graph.n_nodes, adjacency, seed=0)
+        assert shuffled.edge_array().tobytes() == reference.tobytes()
+
+    def test_sampling_peaks_near_what_the_adjacency_holds(self):
+        # The int64 edge lists are freed once the upper triangle holds
+        # int32 copies, so the peak is the CSR sum's operands and result.
+        # Measured 2.01x the adjacency's bytes on the criterion-5 shape
+        # (2.68x while the edge lists lived to the end); 2.2 is ~10% slack.
+        dist = RandomGaussian(n_total=10**4, avg_path_length=2.5)
+        sample_graph(dist, 100, seed=0)  # load scipy.sparse before tracing
+        tracemalloc.start()
+        try:
+            graph = sample_graph(dist, 10**4, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        adjacency = graph.adjacency
+        held = sum(getattr(adjacency, name).nbytes
+                   for name in ("data", "indices", "indptr"))
+        assert peak < 2.2 * held
+
     def test_infeasible_degree_sequence_rejected(self):
         with pytest.raises(ValueError, match="infeasible"):
             sample_graph(PowerLaw(alpha=2.5, k_min=2000.0), 1000, seed=0)
@@ -474,6 +536,49 @@ class TestEdgeSamplersMatchFrozen:
             _configuration_edges(degrees, np.random.default_rng(seed)),
             reference_configuration_edges(degrees,
                                           np.random.default_rng(seed)))
+
+
+def renumbered_path(n):
+    """A path through the nodes in random order: of these shapes, the one
+    that takes ``_components`` the most rounds (10 at 10^4 nodes)."""
+    order = np.random.default_rng(0).permutation(n).tolist()
+    return list(zip(order, order[1:]))
+
+
+class TestComponents:
+    @settings(max_examples=200, deadline=None)
+    @given(graphs_with_isolated_nodes())
+    def test_partition_matches_scipy_on_drawn_graphs(self, drawn):
+        graph = drawn[0]
+        assert_same_partition(_components(graph.adjacency), graph.adjacency)
+
+    @pytest.mark.parametrize("n,edges", [
+        (10**4, [(i, i + 1) for i in range(10**4 - 1)]),  # a long path
+        (10**4, renumbered_path(10**4)),
+        (1000, [(i, i + 1) for i in range(0, 1000, 2)]),  # perfect matching
+        (1000, [(0, i) for i in range(1, 1000)]),  # a star on node 0
+        (1000, [(i, 999) for i in range(999)]),  # a star on the last node
+        (50, []),  # edgeless
+        (1, []),  # a single node
+    ], ids=["path", "renumbered-path", "matching", "star", "star-last",
+            "edgeless", "single-node"])
+    def test_partition_matches_scipy_on_extreme_shapes(self, n, edges):
+        graph = graph_from_edges(n, edges)
+        assert_same_partition(_components(graph.adjacency), graph.adjacency)
+
+    @settings(max_examples=150, deadline=None)
+    @given(graphs_with_isolated_nodes())
+    def test_disconnected_error_carries_the_same_sizes(self, drawn):
+        # Connected draws are test_matches_frozen_dijkstra_routine's.
+        graph = drawn[0]
+        try:
+            reference_measure_avg_path_length(graph)
+        except DisconnectedGraphError as expected:
+            with pytest.raises(DisconnectedGraphError) as info:
+                measure_avg_path_length(graph)
+            assert info.value.coverage == expected.coverage
+            assert info.value.component_sizes == expected.component_sizes
+            assert str(info.value) == str(expected)
 
 
 class TestMeasureAvgPathLength:

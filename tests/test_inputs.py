@@ -7,6 +7,7 @@ must raise a ValueError whose message starts with that parameter's name
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 
 from lightcone import (
@@ -38,6 +39,7 @@ from lightcone import (
     system_power_density,
     wafer_area,
 )
+from lightcone.errors import check_each
 from lightcone.hardware import mean_degree
 
 BAD = [math.nan, math.inf, -math.inf, True, "1"]
@@ -121,3 +123,21 @@ def test_bad_number_rejected_by_name(name, call, bad):
     with pytest.raises(ValueError) as info:
         call(bad)
     assert str(info.value).split(" ")[0].split("[")[0] == name
+
+
+@pytest.mark.parametrize("dtype", ["float16", "float32", "float64"])
+@pytest.mark.parametrize("bad, bounds", [
+    (math.nan, {}), (-math.inf, {}), (1.5, {"le": 1.0}), (0.0, {"gt": 0.0}),
+])
+def test_float_array_error_names_a_python_float(dtype, bad, bounds):
+    # The screened array route boxes only the flagged element, and its
+    # message must match the element-by-element route's byte for byte.
+    values = np.array([[0.5, 0.25], [bad, 0.75]], dtype=dtype)
+    messages = []
+    for given in (values, values.tolist()):
+        with pytest.raises(ValueError) as info:
+            check_each("positions", given, **bounds)
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
+    assert messages[0].startswith("positions[1, 0] must be a finite number")
+    assert "np." not in messages[0]
