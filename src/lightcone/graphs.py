@@ -5,22 +5,21 @@ produce integer degree sequences (floor plus stochastic remainder) and
 cleaned-up undirected graphs (no self-loops, no parallel edges), which
 serve as the empirical counterpart of the closed-form relations.
 
-``scipy.sparse`` loads on the first sample or path-length measurement,
-inside the functions that build or search a sparse graph; it holds the
-adjacency matrices and nothing else. The closed forms, the pool and
-hardware budgets and the simulator need only numpy, and scipy is about
-two thirds of a cold ``import lightcone``, so every CLI command that
-samples no graph starts without it. scipy's sparse graph algorithms
-never load: components are labelled and distances summed in numpy, since
-importing those routines also brings in ``scipy.linalg`` and costs more
-memory than any array the criterion-5 measurement allocates.
+A sampled graph holds its adjacency as two numpy arrays, CSR ``indptr``
+and ``indices``, and everything here, from sampling to components and
+distances, reads those arrays with numpy alone. scipy never loads to
+sample or measure a graph: importing ``scipy.sparse`` costs about 20 MB
+of memory, more than any array the criterion-5 measurement allocates.
+``SampledGraph.adjacency`` builds a ``scipy.sparse.csr_matrix`` view on
+request, importing scipy then, for the test oracles (dijkstra, networkx,
+the frozen reference engine) that read one.
 """
 from __future__ import annotations
 
 import functools
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Union
+from typing import TYPE_CHECKING, NamedTuple, Union
 
 import numpy as np
 
@@ -55,7 +54,8 @@ MIN_COVERAGE = 0.90
 MAX_STUBS = 200_000_000
 # BFS direction rule. Costs per edge read, relative to a pull into every
 # node: a pull into only the nodes that lack a bit builds their edge list
-# first, and a push transposes the frontier's CSR rows.
+# first, and a push gathers the frontier's edges and sorts them by
+# neighbour.
 _RESTRICTED_PULL_COST = 2
 _PUSH_COST = 8
 
@@ -103,38 +103,82 @@ DegreeDistribution = Union[RandomGaussian, PowerLaw]
 class SampledGraph:
     """Undirected graph realized from a degree distribution.
 
-    ``adjacency`` is a symmetric CSR matrix with unit weights, no
-    self-loops, node ids dense in [0, n_nodes). ``target_degrees`` keeps
-    the drawn (pre-cleanup) degree sequence for power-law samples.
+    The adjacency is stored as CSR arrays: row i's neighbours are
+    ``indices[indptr[i]:indptr[i + 1]]``. Every edge appears in both of
+    its rows, with no self-loops, and node ids are dense in [0, n_nodes).
+    Sampled graphs store each row's neighbours in increasing order, in
+    int32. ``target_degrees`` keeps the drawn (pre-cleanup) degree
+    sequence for power-law samples.
+
+    Sampling and measuring read only these arrays, so scipy never loads
+    for them. ``adjacency`` is a lazy scipy view for oracles.
     """
 
     n_nodes: int
-    adjacency: sp.csr_matrix
+    indptr: np.ndarray
+    indices: np.ndarray
     seed: int
     target_degrees: np.ndarray | None = None
 
+    def __post_init__(self):
+        n = check_integer("n_nodes", self.n_nodes, ge=0)
+        for name in ("indptr", "indices"):
+            array = getattr(self, name)
+            if not (isinstance(array, np.ndarray) and array.ndim == 1
+                    and array.dtype.kind in "iu"):
+                raise ValueError(
+                    f"{name} must be a 1-D numpy integer array, got {array!r}")
+        indptr, indices = self.indptr, self.indices
+        if len(indptr) != n + 1:
+            raise ValueError(f"indptr must hold n_nodes + 1 = {n + 1} "
+                             f"entries, got {len(indptr)}")
+        if indptr[0] != 0 or indptr[-1] != len(indices):
+            raise ValueError(f"indptr must run from 0 to len(indices) = "
+                             f"{len(indices)}, got {indptr[0]}..{indptr[-1]}")
+        if (np.diff(indptr) < 0).any():
+            raise ValueError("indptr must be non-decreasing")
+        if len(indices) and (indices.min() < 0 or indices.max() >= n):
+            raise ValueError(f"indices must lie in [0, n_nodes) = [0, {n}), "
+                             f"got {indices.min()}..{indices.max()}")
+
+    @property
+    def adjacency(self) -> sp.csr_matrix:
+        """The graph as a scipy CSR matrix with unit float64 weights.
+
+        For oracles that read a scipy matrix: each read imports
+        ``scipy.sparse`` and wraps the graph's own ``indptr`` and
+        ``indices`` (not copies) with a fresh all-ones ``data`` array.
+        """
+        import scipy.sparse as sp
+
+        n = self.n_nodes
+        return sp.csr_matrix((np.ones(len(self.indices)), self.indices,
+                              self.indptr), shape=(n, n))
+
     @property
     def degrees(self) -> np.ndarray:
-        return np.asarray(self.adjacency.sum(axis=1)).ravel().astype(np.int64)
+        return np.diff(self.indptr).astype(np.int64)
 
     @property
     def n_edges(self) -> int:
-        return int(self.adjacency.nnz // 2)
+        return len(self.indices) // 2
 
     def edge_array(self) -> np.ndarray:
         """(m, 2) array of edges with i < j, sorted; stable across runs.
 
-        Read from the CSR rows: each row's entries above the diagonal, in
-        column order, so the rows come out in order with no sort.
+        Read from the CSR rows: each row's entries above the diagonal.
+        The rows come out in order, so only a graph that stores some row's
+        columns out of order needs a sort.
         """
-        adjacency = self.adjacency
-        if not adjacency.has_sorted_indices:
-            adjacency = adjacency.sorted_indices()
-        cols = adjacency.indices
-        rows = np.repeat(np.arange(adjacency.shape[0], dtype=cols.dtype),
-                         np.diff(adjacency.indptr))
+        cols = self.indices
+        rows = np.repeat(np.arange(self.n_nodes, dtype=cols.dtype),
+                         np.diff(self.indptr))
         upper = cols > rows
-        return np.stack([rows[upper], cols[upper]], axis=1)
+        rows, cols = rows[upper], cols[upper]
+        if ((cols[1:] <= cols[:-1]) & (rows[1:] == rows[:-1])).any():
+            order = np.lexsort((cols, rows))
+            rows, cols = rows[order], cols[order]
+        return np.stack([rows, cols], axis=1)
 
 
 @dataclass(frozen=True)
@@ -293,16 +337,55 @@ def _configuration_edges(degrees: np.ndarray,
     """Stub matching followed by self-loop and multi-edge cleanup.
 
     Each pair (lo, hi) is keyed as ``lo * n + hi``; since hi < n, the
-    unique keys sort in (lo, hi) order.
+    unique keys sort in (lo, hi) order. Each stub-sized temporary is
+    freed after its last use.
     """
     n = len(degrees)
     stubs = np.repeat(np.arange(n, dtype=np.int64), degrees)
     rng.shuffle(stubs)
-    a, b = stubs[0::2], stubs[1::2]
-    keep = a != b
-    a, b = a[keep], b[keep]
-    keys = np.unique(np.minimum(a, b) * n + np.maximum(a, b))
-    return keys // n, keys % n
+    keep = stubs[0::2] != stubs[1::2]
+    a, b = stubs[0::2][keep], stubs[1::2][keep]
+    del stubs, keep
+    keys = np.minimum(a, b)
+    np.maximum(a, b, out=a)
+    del b
+    keys *= n
+    keys += a
+    del a
+    keys = np.unique(keys)
+    return np.divmod(keys, n)
+
+
+def _symmetric_csr(rows: np.ndarray, cols: np.ndarray,
+                   n: int) -> tuple[np.ndarray, np.ndarray]:
+    """CSR ``indptr`` and ``indices`` of the undirected graph on n nodes.
+
+    Takes each edge once as int64 (rows[k], cols[k]) with rows[k] <
+    cols[k], sorted by row and then column: the upper triangle in CSR
+    order. Row i lists its lower neighbours (the rows of the edges whose
+    column is i) and then its upper ones, so its indices increase, as in
+    scipy's CSR of the symmetric matrix, entry for entry and in int32.
+    Read in order, the lower blocks are the rows sorted by column: one
+    sort of the keys ``cols << 32 | rows``, whose int32 cast is the row.
+    The upper blocks are ``cols`` as given, so a mask of the lower slots
+    places both without an index array. MAX_STUBS keeps node ids and
+    entry counts far below 2**31.
+    """
+    upper_counts = np.bincount(rows, minlength=n)
+    lower_counts = np.bincount(cols, minlength=n)
+    keys = cols << 32
+    keys |= rows
+    keys.sort()
+    lower = np.repeat(np.tile([True, False], n),
+                      np.stack([lower_counts, upper_counts], axis=1).ravel())
+    indices = np.empty(2 * len(cols), dtype=np.int32)
+    indices[lower] = keys
+    del keys
+    np.logical_not(lower, out=lower)
+    indices[lower] = cols
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(upper_counts + lower_counts, out=indptr[1:])
+    return indptr, indices
 
 
 def sample_graph(dist: DegreeDistribution, n_total: int, seed: int) -> SampledGraph:
@@ -315,10 +398,10 @@ def sample_graph(dist: DegreeDistribution, n_total: int, seed: int) -> SampledGr
     parallel edges removed afterwards.
 
     Both samplers return each edge once as (i, j) with i < j, sorted by
-    row and then column, which is the upper triangle in CSR order. The
-    symmetric adjacency is built from it in one pass as ``upper +
-    upper.T``, with no COO sort and no duplicate sum; its ``indptr``,
-    ``indices``, ``data`` and dtypes equal those of the COO route.
+    row and then column, which is the upper triangle in CSR order, and
+    ``_symmetric_csr`` builds the graph's CSR arrays from it in numpy.
+    They equal the ``indptr`` and ``indices`` of scipy's COO route,
+    dtypes included.
 
     Raises ValueError for an infeasible degree (a G(n, p) mean degree
     above n_total - 1, so p > 1, or a power-law degree >= n_total) and for
@@ -364,22 +447,36 @@ def sample_graph(dist: DegreeDistribution, n_total: int, seed: int) -> SampledGr
     else:
         raise TypeError(f"unsupported distribution type: {type(dist)!r}")
 
-    import scipy.sparse as sp
-
-    # Each edge once as (i, j), i < j, sorted: the upper triangle in CSR order.
-    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows,
-                                                        minlength=n_total))))
-    del rows
-    upper = sp.csr_matrix((np.ones(len(cols)), cols, indptr),
-                          shape=(n_total, n_total))
-    del cols, indptr  # upper holds its own int32 copies
-    adjacency = upper + upper.T
-    return SampledGraph(n_nodes=n_total, adjacency=adjacency, seed=seed,
-                        target_degrees=target)
+    indptr, indices = _symmetric_csr(rows, cols, n_total)
+    return SampledGraph(n_nodes=n_total, indptr=indptr, indices=indices,
+                        seed=seed, target_degrees=target)
 
 
-def _components(adjacency: sp.csr_matrix) -> np.ndarray:
-    """Component label of each node of a symmetric adjacency matrix.
+class _SearchCSR(NamedTuple):
+    """A graph's CSR as the component labelling and the BFS read it.
+
+    ``indices`` is an intp copy, since ``take()`` indexes 8x slower with
+    int32. ``rows`` are the non-empty rows and ``starts`` where each
+    begins: ``reduceat`` gives an empty segment a stray element and
+    rejects a trailing one that starts at nnz, so reductions over every
+    row run over these.
+    """
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    rows: np.ndarray
+    starts: np.ndarray
+
+
+def _search_csr(graph: SampledGraph) -> _SearchCSR:
+    indptr = graph.indptr
+    rows = np.flatnonzero(np.diff(indptr))
+    return _SearchCSR(indptr, graph.indices.astype(np.intp), rows,
+                      indptr[rows])
+
+
+def _components(csr: _SearchCSR) -> np.ndarray:
+    """Component label of each node of an undirected graph's CSR.
 
     Hook and shortcut (Shiloach & Vishkin 1982, in the simplified form of
     FastSV, Zhang, Azad & Hu 2020), over whole arrays. Every node points
@@ -393,22 +490,12 @@ def _components(adjacency: sp.csr_matrix) -> np.ndarray:
     numbered path takes fewer than log2 of its length (10 at 10^4 nodes,
     15 at 10^6). Roots are then numbered in node order: labels run
     0..c-1, one per component, so the partition is the one scipy's
-    ``connected_components`` finds (a tests-only oracle here). This
-    replaces that call, whose module's import also loads
-    ``scipy.linalg``: 11 MB of memory, more than any array the
-    measurement of the criterion graph allocates.
-
-    ``adjacency`` must be symmetric; only its sparsity structure is read.
+    ``connected_components`` finds (a tests-only oracle here).
     """
-    n = adjacency.shape[0]
-    indptr = adjacency.indptr
-    # Pointers keep the CSR's index dtype, which halves the edge-sized
-    # gather; the edge list itself is intp, as take() indexes 8x slower
-    # with int32.
-    parent = np.arange(n, dtype=adjacency.indices.dtype)
-    indices = adjacency.indices.astype(np.intp)
-    rows = np.flatnonzero(np.diff(indptr))
-    starts = indptr[rows]
+    n = len(csr.indptr) - 1
+    indices, rows, starts = csr.indices, csr.rows, csr.starts
+    # int32 pointers halve the edge-sized gather.
+    parent = np.arange(n, dtype=np.int32 if n <= 2**31 else np.intp)
     while len(rows):
         low = np.minimum.reduceat(parent.take(indices), starts)
         new = parent.copy()
@@ -425,7 +512,7 @@ def _components(adjacency: sp.csr_matrix) -> np.ndarray:
     return np.cumsum(parent == np.arange(n)).take(parent) - 1
 
 
-def _bfs_distance_sums(adjacency: sp.csr_matrix, sources: np.ndarray,
+def _bfs_distance_sums(csr: _SearchCSR, sources: np.ndarray,
                        labels: np.ndarray) -> np.ndarray:
     """Sum of hop distances from each source to every node it reaches.
 
@@ -444,17 +531,11 @@ def _bfs_distance_sums(adjacency: sp.csr_matrix, sources: np.ndarray,
     Either way a node receives the OR of its frontier neighbours' words
     and keeps only the bits it lacks, so each level reaches the same
     (source, node) pairs whichever direction runs, and the int64 sums are
-    exact. ``adjacency`` must be symmetric; only its sparsity structure
-    is read.
+    exact. The graph must be undirected (each edge in both rows).
     """
-    n = adjacency.shape[0]
-    indptr = adjacency.indptr
-    indices = adjacency.indices.astype(np.intp)  # take() wants intp
+    indptr, indices = csr.indptr, csr.indices
+    n = len(indptr) - 1
     degree = np.diff(indptr)
-    # reduceat gives an empty segment a stray element, and rejects a
-    # trailing one that starts at nnz: a full pull reduces non-empty rows.
-    rows = np.flatnonzero(degree)
-    starts = indptr[rows]
     sums = np.zeros(len(sources), dtype=np.int64)
     chunk = 256
     for first in range(0, len(sources), chunk):
@@ -480,27 +561,22 @@ def _bfs_distance_sums(adjacency: sp.csr_matrix, sources: np.ndarray,
             lengths = degree.take(needy)
             restricted_cost = _RESTRICTED_PULL_COST * int(lengths.sum())
             pull_cost = min(restricted_cost, len(indices))
-            if _PUSH_COST * int(degree.take(front_nodes).sum()) < pull_cost:
-                # The frontier's CSR rows transposed: for each neighbour,
-                # the frontier nodes next to it, as columns of ``front``.
-                into = adjacency[front_nodes].tocsc()
-                new_nodes = np.flatnonzero(np.diff(into.indptr))
-                words, edges = front, into.indices
-                segments = into.indptr[new_nodes]
+            front_lengths = degree.take(front_nodes)
+            if _PUSH_COST * int(front_lengths.sum()) < pull_cost:
+                new_nodes, edges, segments = _push_edges(csr, front_nodes,
+                                                         front_lengths)
+                words = front
             else:
                 words = np.zeros_like(own)
                 for row, f in zip(words, front):
                     row[front_nodes] = f
                 if restricted_cost >= len(indices):
-                    new_nodes, edges, segments = rows, indices, starts
+                    new_nodes, edges, segments = csr.rows, indices, csr.starts
                 else:
                     # Nodes that lack a bit have a neighbour: their
                     # component holds a source other than themselves.
-                    ends = np.cumsum(lengths)
-                    segments = ends - lengths
-                    edge_ids = (np.repeat(indptr[needy] - segments, lengths)
-                                + np.arange(ends[-1]))
-                    new_nodes, edges = needy, indices.take(edge_ids)
+                    new_nodes = needy
+                    edges, segments = _row_entries(csr, needy, lengths)
             new = np.stack([np.bitwise_or.reduceat(w.take(edges), segments)
                             for w in words])
             new &= lacking.take(new_nodes, axis=1)
@@ -511,6 +587,36 @@ def _bfs_distance_sums(adjacency: sp.csr_matrix, sources: np.ndarray,
             sums[first:first + len(batch)] += (
                 level * _bit_counts(front)[:len(batch)])
     return sums
+
+
+def _row_entries(csr: _SearchCSR, nodes: np.ndarray,
+                 lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The CSR entries of ``nodes``, whose degrees are ``lengths``, one
+    node after another, and where each node's run starts."""
+    ends = np.cumsum(lengths)
+    segments = ends - lengths
+    edge_ids = (np.repeat(csr.indptr[nodes] - segments, lengths)
+                + np.arange(ends[-1]))
+    return csr.indices.take(edge_ids), segments
+
+
+def _push_edges(csr: _SearchCSR, front_nodes: np.ndarray,
+                lengths: np.ndarray
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The frontier's edges grouped by their far end, for a push level.
+
+    ``lengths`` are the frontier nodes' degrees. Returns the nodes next
+    to the frontier, in increasing order; for each edge, grouped by those
+    nodes, the position in ``front_nodes`` of its frontier end; and where
+    each node's group starts. One argsort groups the edges; the order
+    within a group is arbitrary, and the OR over it does not depend on it.
+    """
+    targets, _ = _row_entries(csr, front_nodes, lengths)
+    order = np.argsort(targets)
+    targets = targets.take(order)
+    segments = np.flatnonzero(np.diff(targets, prepend=-1))
+    edges = np.repeat(np.arange(len(front_nodes)), lengths).take(order)
+    return targets.take(segments), edges, segments
 
 
 def _any_bit(words: np.ndarray) -> np.ndarray:
@@ -563,7 +669,8 @@ def measure_avg_path_length(graph: SampledGraph,
     n = graph.n_nodes
     if n < 2:
         raise DisconnectedGraphError(0.0, [n] if n else [])
-    labels = _components(graph.adjacency)
+    csr = _search_csr(graph)
+    labels = _components(csr)
     counts = np.bincount(labels)
     giant = int(np.argmax(counts))
     size = int(counts[giant])
@@ -586,8 +693,7 @@ def measure_avg_path_length(graph: SampledGraph,
         exact = len(sources) == size
 
     # Every target in the component is reachable; the source adds 0.
-    per_source = _bfs_distance_sums(graph.adjacency, sources,
-                                    labels) / (size - 1)
+    per_source = _bfs_distance_sums(csr, sources, labels) / (size - 1)
     mean = float(per_source.mean())
     stderr = None
     if not exact:

@@ -278,8 +278,7 @@ def pairwise_delays(positions: np.ndarray, signal_velocity: float) -> np.ndarray
 def _neighbour_lists(config: SimConfig) -> tuple[np.ndarray, np.ndarray]:
     """Every source's neighbours as CSR ``(indptr, indices)``."""
     if isinstance(config.topology, SampledGraph):
-        adj = config.topology.adjacency
-        return adj.indptr, adj.indices
+        return config.topology.indptr, config.topology.indices
     n = config.n_nodes
     # Row i lists 0..n-2, each id from i up shifted past i itself.
     indices = np.tile(np.arange(n - 1), (n, 1))

@@ -9,8 +9,11 @@ adjacency before the one-pass ``upper + upper.T`` replaced it.
 G(n, p) and configuration-model edge samplers as they were before the
 per-row-count rows and the one-key unique replaced their searches.
 ``reference_edge_array`` is ``SampledGraph.edge_array`` as it was before
-it read the upper triangle straight from the CSR rows. Do not change
-them: the tests require the library to match them bit for bit.
+it read the upper triangle straight from the CSR rows.
+``reference_push_edges`` is the BFS push level's grouping of the
+frontier's edges by neighbour as it was, a scipy ``tocsc`` transpose,
+before the numpy gather and argsort replaced it. Do not change them: the
+tests require the library to match them bit for bit.
 """
 from __future__ import annotations
 
@@ -88,6 +91,14 @@ def reference_edge_array(adjacency) -> np.ndarray:
     edges = np.stack([coo.row, coo.col], axis=1)
     order = np.lexsort((edges[:, 1], edges[:, 0]))
     return edges[order]
+
+
+def reference_push_edges(adjacency, front_nodes):
+    """Neighbours of the frontier, each edge's frontier position grouped
+    by neighbour, and where each group starts, by ``tocsc``."""
+    into = adjacency[front_nodes].tocsc()
+    new_nodes = np.flatnonzero(np.diff(into.indptr))
+    return new_nodes, into.indices, into.indptr[new_nodes]
 
 
 def reference_distance_sums(adjacency, sources) -> np.ndarray:

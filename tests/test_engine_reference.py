@@ -145,7 +145,8 @@ def topologies(draw, n):
             indices[row] = rng.permutation(indices[row])
         adjacency = sp.csr_matrix(
             (adjacency.data, indices, adjacency.indptr), shape=(n, n))
-    return SampledGraph(n_nodes=n, adjacency=adjacency, seed=0)
+    return SampledGraph(n_nodes=n, indptr=adjacency.indptr,
+                        indices=adjacency.indices, seed=0)
 
 
 @st.composite

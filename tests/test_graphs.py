@@ -5,7 +5,7 @@ import networkx as nx
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.sparse.csgraph import connected_components
 
@@ -29,6 +29,9 @@ from lightcone.graphs import (
     _components,
     _configuration_edges,
     _er_edge_list,
+    _push_edges,
+    _search_csr,
+    _symmetric_csr,
 )
 from pathlen_reference import (
     reference_adjacency,
@@ -37,6 +40,7 @@ from pathlen_reference import (
     reference_edge_array,
     reference_er_edge_list,
     reference_measure_avg_path_length,
+    reference_push_edges,
 )
 
 
@@ -45,7 +49,8 @@ def graph_from_edges(n, edges):
     rows = [i for i, _ in edges] + [j for _, j in edges]
     cols = [j for _, j in edges] + [i for i, _ in edges]
     adj = sp.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
-    return SampledGraph(n_nodes=n, adjacency=adj, seed=0)
+    return SampledGraph(n_nodes=n, indptr=adj.indptr, indices=adj.indices,
+                        seed=0)
 
 
 def assert_same_csr(a, b):
@@ -73,8 +78,8 @@ def assert_sums_match_oracles(graph, edges, sources, nx_sources=None):
     """BFS sums equal dijkstra's for every source and networkx's for
     ``nx_sources`` (default: all of them)."""
     sources = np.asarray(sources)
-    sums = _bfs_distance_sums(graph.adjacency, sources,
-                              _components(graph.adjacency))
+    csr = _search_csr(graph)
+    sums = _bfs_distance_sums(csr, sources, _components(csr))
     assert sums.dtype == np.int64
     np.testing.assert_array_equal(
         sums, reference_distance_sums(graph.adjacency, sources))
@@ -390,17 +395,17 @@ class TestSampleGraph:
             start, end = adjacency.indptr[row:row + 2]
             adjacency.indices[start:end] = rng.permutation(
                 adjacency.indices[start:end])
-        adjacency.has_sorted_indices = False
-        shuffled = SampledGraph(graph.n_nodes, adjacency, seed=0)
+        shuffled = SampledGraph(graph.n_nodes, adjacency.indptr,
+                                adjacency.indices, seed=0)
         assert shuffled.edge_array().tobytes() == reference.tobytes()
 
     def test_sampling_peaks_near_what_the_adjacency_holds(self):
-        # The int64 edge lists are freed once the upper triangle holds
-        # int32 copies, so the peak is the CSR sum's operands and result.
-        # Measured 2.01x the adjacency's bytes on the criterion-5 shape
-        # (2.68x while the edge lists lived to the end); 2.2 is ~10% slack.
+        # Measured 1.43x the bytes of the scipy adjacency on the
+        # criterion-5 shape since the CSR arrays are built in numpy, 2.01x
+        # by scipy's ``upper + upper.T`` and 2.68x while the int64 edge
+        # lists lived to the end; 2.2 was ~10% slack over 2.01x.
         dist = RandomGaussian(n_total=10**4, avg_path_length=2.5)
-        sample_graph(dist, 100, seed=0)  # load scipy.sparse before tracing
+        sample_graph(dist, 100, seed=0)  # warm up before tracing
         tracemalloc.start()
         try:
             graph = sample_graph(dist, 10**4, seed=1)
@@ -411,6 +416,38 @@ class TestSampleGraph:
         held = sum(getattr(adjacency, name).nbytes
                    for name in ("data", "indices", "indptr"))
         assert peak < 2.2 * held
+
+    def test_configuration_sampling_peaks_near_what_the_adjacency_holds(self):
+        """The stub-sized temporaries are freed after their last use, so
+        sampling PowerLaw(2.5, k_min=20) on 10^4 nodes peaks at 1.46-1.51x
+        the bytes of its scipy adjacency (seeds 0-3), the unit the G(n, p)
+        test above uses; 2.49-2.56x while they all lived to the end. 1.65
+        is ~10% slack."""
+        dist = PowerLaw(alpha=2.5, k_min=20.0)
+        sample_graph(PowerLaw(alpha=2.5, k_min=2.0), 100, seed=0)  # warm up
+        tracemalloc.start()
+        try:
+            graph = sample_graph(dist, 10**4, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        adjacency = graph.adjacency
+        held = sum(getattr(adjacency, name).nbytes
+                   for name in ("data", "indices", "indptr"))
+        assert peak < 1.65 * held
+
+    @settings(max_examples=200, deadline=None)
+    @given(graphs_with_isolated_nodes())
+    @example((graph_from_edges(1, []), [], None))
+    @example((graph_from_edges(6, []), [], None))
+    @example((graph_from_edges(6, [(1, 4)]), [(1, 4)], None))
+    def test_numpy_csr_matches_frozen_coo_route(self, drawn):
+        graph, edges, _ = drawn
+        n = graph.n_nodes
+        rows, cols = np.array(edges, dtype=np.int64).reshape(-1, 2).T
+        indptr, indices = _symmetric_csr(rows, cols, n)
+        assert_same_csr(SampledGraph(n, indptr, indices, seed=0).adjacency,
+                        reference_adjacency(rows, cols, n))
 
     def test_infeasible_degree_sequence_rejected(self):
         with pytest.raises(ValueError, match="infeasible"):
@@ -550,7 +587,8 @@ class TestComponents:
     @given(graphs_with_isolated_nodes())
     def test_partition_matches_scipy_on_drawn_graphs(self, drawn):
         graph = drawn[0]
-        assert_same_partition(_components(graph.adjacency), graph.adjacency)
+        assert_same_partition(_components(_search_csr(graph)),
+                              graph.adjacency)
 
     @pytest.mark.parametrize("n,edges", [
         (10**4, [(i, i + 1) for i in range(10**4 - 1)]),  # a long path
@@ -564,7 +602,8 @@ class TestComponents:
             "edgeless", "single-node"])
     def test_partition_matches_scipy_on_extreme_shapes(self, n, edges):
         graph = graph_from_edges(n, edges)
-        assert_same_partition(_components(graph.adjacency), graph.adjacency)
+        assert_same_partition(_components(_search_csr(graph)),
+                              graph.adjacency)
 
     @settings(max_examples=150, deadline=None)
     @given(graphs_with_isolated_nodes())
@@ -610,8 +649,8 @@ class TestMeasureAvgPathLength:
         n = graph.n_nodes
         sources = (np.arange(n) if count == "all"
                    else rng.integers(0, n, size=count))
-        sums = _bfs_distance_sums(graph.adjacency, sources,
-                                  _components(graph.adjacency))
+        csr = _search_csr(graph)
+        sums = _bfs_distance_sums(csr, sources, _components(csr))
         assert sums.dtype == np.int64
         np.testing.assert_array_equal(
             sums, reference_distance_sums(graph.adjacency, sources))
@@ -684,6 +723,41 @@ class TestMeasureAvgPathLength:
         # Twice in one word, and the same node again in the next word.
         sources = [7, 7, 42] + list(range(61)) + [7, 99]
         assert_sums_match_oracles(graph, edges, sources)
+
+    @pytest.mark.parametrize("shape", ["path", "gnp"])
+    def test_push_level_matches_frozen_tocsc_route(self, monkeypatch, shape):
+        # Each push level's grouping gives the same neighbours, and the
+        # same OR of any frontier words over each, as the tocsc route. On
+        # the G(n, p) graph the frontier's first levels share neighbours.
+        if shape == "path":
+            graph = graph_from_edges(1000, [(i, i + 1) for i in range(999)])
+        else:
+            graph = sample_graph(RandomGaussian(2000, 3.0), 2000, seed=3)
+        n = graph.n_nodes
+        edges = [tuple(e) for e in graph.edge_array().tolist()]
+        calls = []
+
+        def recording(csr, front_nodes, lengths):
+            calls.append((front_nodes, _push_edges(csr, front_nodes,
+                                                   lengths)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(graphs_module, "_push_edges", recording)
+        assert_sums_match_oracles(graph, edges, [0, n // 2, n - 1],
+                                  nx_sources=())
+        assert calls  # the direction rule chose a push
+        rng = np.random.default_rng(0)
+        adjacency = graph.adjacency
+        for front_nodes, (new_nodes, pushed, segments) in calls:
+            want_nodes, want_edges, want_segments = reference_push_edges(
+                adjacency, front_nodes)
+            np.testing.assert_array_equal(new_nodes, want_nodes)
+            words = rng.integers(0, 2**64, size=(4, len(front_nodes)),
+                                 dtype=np.uint64)
+            for w in words:
+                np.testing.assert_array_equal(
+                    np.bitwise_or.reduceat(w.take(pushed), segments),
+                    np.bitwise_or.reduceat(w.take(want_edges), want_segments))
 
     @pytest.mark.parametrize("source_sample",
                              [True, False, 2.7, 64.0, "al", math.nan, 1, 0, -5])

@@ -16,6 +16,7 @@ from lightcone import (
     PoolQuery,
     PowerLaw,
     RandomGaussian,
+    SampledGraph,
     SimConfig,
     avg_degree_random,
     element_width_from_area,
@@ -54,6 +55,8 @@ SIM = dict(positions=[[0.0, 0.0], [0.5, 0.0]], signal_velocity=1.0,
            natural_period=1.0, duration=2.0)
 SIM_BASE = SimConfig(**SIM)
 TRACE = run(SIM_BASE)
+# One edge on two nodes, as CSR arrays.
+INDPTR, INDICES = np.array([0, 1, 2]), np.array([1, 0])
 
 
 def sim_with(**fields):
@@ -112,6 +115,9 @@ SURFACE = [
     ("seeds", lambda x: pool_sweep(SIM_BASE, [1.0], [0, x])),
     ("lock_threshold", lambda x: synchrony_metrics(TRACE, lock_threshold=x)),
     ("window", lambda x: synchrony_metrics(TRACE, window=x)),
+    ("n_nodes", lambda x: SampledGraph(x, INDPTR, INDICES, seed=0)),
+    ("indptr", lambda x: SampledGraph(2, x, INDICES, seed=0)),
+    ("indices", lambda x: SampledGraph(2, INDPTR, x, seed=0)),
 ]
 
 
@@ -141,3 +147,38 @@ def test_float_array_error_names_a_python_float(dtype, bad, bounds):
     assert messages[0] == messages[1]
     assert messages[0].startswith("positions[1, 0] must be a finite number")
     assert "np." not in messages[0]
+
+
+def test_valid_csr_accepted():
+    graph = SampledGraph(2, INDPTR, INDICES, seed=0)
+    assert graph.n_edges == 1
+    assert SampledGraph(0, np.array([0]), np.array([], dtype=int),
+                        seed=0).n_edges == 0
+
+
+# (field the message names, n_nodes, indptr, indices): not a CSR of
+# n_nodes rows.
+BAD_CSR = [
+    ("n_nodes", -1, np.array([0]), np.array([], dtype=int)),
+    ("indptr", 2, [0, 1, 2], INDICES),  # a list, not an array
+    ("indptr", 2, np.array([0.0, 1.0, 2.0]), INDICES),
+    ("indptr", 2, np.array([[0, 1, 2]]), INDICES),
+    ("indptr", 2, np.array([0, 2]), INDICES),  # n_nodes entries
+    ("indptr", 2, np.array([0, 1, 2, 2]), INDICES),  # n_nodes + 2
+    ("indptr", 2, np.array([1, 1, 2]), INDICES),  # starts past 0
+    ("indptr", 2, np.array([0, 1, 1]), INDICES),  # ends before len(indices)
+    ("indptr", 2, np.array([0, 1, 3]), INDICES),  # ends past it
+    ("indptr", 2, np.array([0, 3, 2]), INDICES),  # decreases
+    ("indices", 2, INDPTR, np.array([1.0, 0.0])),
+    ("indices", 2, INDPTR, np.array([1, 2])),  # = n_nodes
+    ("indices", 2, INDPTR, np.array([-1, 0])),
+]
+
+
+@pytest.mark.parametrize("name, n_nodes, indptr, indices", BAD_CSR,
+                         ids=[f"{i}-{row[0]}" for i, row in
+                              enumerate(BAD_CSR)])
+def test_bad_csr_rejected_by_name(name, n_nodes, indptr, indices):
+    with pytest.raises(ValueError) as info:
+        SampledGraph(n_nodes, indptr, indices, seed=0)
+    assert str(info.value).split(" ")[0] == name

@@ -182,8 +182,9 @@ def graph_config(graph, coupling=0.3):
 
 
 def graph_of(dense: np.ndarray) -> SampledGraph:
-    return SampledGraph(n_nodes=len(dense), adjacency=sp.csr_matrix(dense),
-                        seed=0)
+    adjacency = sp.csr_matrix(dense)
+    return SampledGraph(n_nodes=len(dense), indptr=adjacency.indptr,
+                        indices=adjacency.indices, seed=0)
 
 
 def same_trace(a, b) -> bool:
@@ -214,7 +215,8 @@ class TestSampledTopology:
         config = SimConfig(
             positions=np.random.default_rng(0).uniform(0, 1, (n, 2)),
             signal_velocity=1.0, natural_period=1.0, duration=1.0,
-            topology=SampledGraph(n_nodes=n, adjacency=ring, seed=0))
+            topology=SampledGraph(n_nodes=n, indptr=ring.indptr,
+                                  indices=ring.indices, seed=0))
         tracemalloc.start()
         try:
             run(config)
@@ -548,7 +550,8 @@ def powerlaw_with_isolated_nodes():
     cut = sp.diags(keep)
     adjacency = (cut @ graph.adjacency @ cut).tocsr()
     adjacency.eliminate_zeros()
-    return SampledGraph(n_nodes=120, adjacency=adjacency, seed=3)
+    return SampledGraph(n_nodes=120, indptr=adjacency.indptr,
+                        indices=adjacency.indices, seed=3)
 
 
 class TestLaneOrder:

@@ -63,9 +63,9 @@ class TestPoolSweep:
 
     def test_complete_graph_base_matches_all_to_all(self):
         base = base_config()
-        complete = SampledGraph(
-            n_nodes=16, adjacency=sp.csr_matrix(np.ones((16, 16)) - np.eye(16)),
-            seed=0)
+        adjacency = sp.csr_matrix(np.ones((16, 16)) - np.eye(16))
+        complete = SampledGraph(n_nodes=16, indptr=adjacency.indptr,
+                                indices=adjacency.indices, seed=0)
         graph_base = dataclasses.replace(base, topology=complete)
         assert (pool_sweep(graph_base, [0.1, 2.0], [0, 1]).rows
                 == pool_sweep(base, [0.1, 2.0], [0, 1]).rows)
