@@ -60,9 +60,7 @@ still be refractory when it popped, and skipping it changes no state or
 the trace. Each lane ends in a sentinel delivery (delay inf, target
 slot n, ready[n] = -inf) that stops every scan, so a skip step is one
 float comparison; on the sweep benchmark's 64-node cells the loop
-costs 0.47 us per event (BENCH_13.json, 2 shared cores). Runs with
-record_audit keep one pop per delivery, so their log lists refractory
-deliveries in event order.
+costs 0.47 us per event (BENCH_13.json, 2 shared cores).
 """
 from __future__ import annotations
 
@@ -70,7 +68,7 @@ import heapq
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, replace
-from typing import NamedTuple, Union
+from typing import Union
 
 import numpy as np
 
@@ -88,7 +86,6 @@ __all__ = [
     "SynchronyReport",
     "SweepRow",
     "SweepResult",
-    "AuditRecord",
     "pairwise_delays",
     "run",
     "synchrony_metrics",
@@ -104,17 +101,6 @@ DEFAULT_MAX_EVENTS = 100_000_000
 # The cursor slot of a fire entry; cursors hold k >= 0, so a fire's
 # natural-fire entry sorts ahead of its own cursor at one time.
 _FIRE = -1
-
-
-class AuditRecord(NamedTuple):
-    """One event-log entry: a fire, or a delivery with its outcome."""
-
-    kind: str            # "fire" | "delivery"
-    time: float
-    source: int
-    target: int
-    emit_time: float     # for deliveries; equals time for fires
-    outcome: str         # "fire" | "advance" | "cap_fire" | "refractory"
 
 
 @dataclass(frozen=True)
@@ -139,7 +125,6 @@ class SimConfig:
     topology: Union[str, SampledGraph] = "all_to_all"
     lock_threshold: float = DEFAULT_LOCK_THRESHOLD
     max_events: int = DEFAULT_MAX_EVENTS
-    record_audit: bool = False
 
     def __post_init__(self):
         check_each("positions", self.positions)
@@ -205,7 +190,6 @@ class SpikeTrace:
     natural_period: float
     duration: float
     n_events: int
-    audit: tuple[AuditRecord, ...] | None = None
 
     def node_fire_times(self, node: int) -> np.ndarray:
         return self.times[self.nodes == node]
@@ -407,10 +391,6 @@ def run(config: SimConfig) -> SpikeTrace:
     # Slot n, the sentinel deliveries' target, is never refractory.
     ready = [-math.inf] * (n + 1)
     version = [0] * n
-    audit: list[AuditRecord] | None = [] if config.record_audit else None
-    # Cursors step past the deliveries that are < skip[target]. Audit runs
-    # pop every delivery, so their skip list never moves from -inf.
-    skip = ready if audit is None else [-math.inf] * (n + 1)
 
     # A fire entry is (time, node, seq, _FIRE, version, None, None, 0); a
     # delivery cursor is (time, source, seq, k, emit time, delays,
@@ -445,14 +425,12 @@ def run(config: SimConfig) -> SpikeTrace:
             heappop(heap)
             if emit != version[i]:
                 continue  # superseded by a phase advance or induced fire
-            if audit is not None:
-                audit.append(AuditRecord("fire", t, i, i, t, "fire"))
         else:
             target = targets[k]
             # Step past the deliveries that would pop refractory: ready
             # only grows, so they would. The lane's sentinel stops the scan.
             k += 1
-            while emit + delays[k] < skip[targets[k]]:
+            while emit + delays[k] < ready[targets[k]]:
                 k += 1
             if k < end:
                 heapreplace(heap, (emit + delays[k], i, fire_seq, k, emit,
@@ -460,9 +438,6 @@ def run(config: SimConfig) -> SpikeTrace:
             else:
                 heappop(heap)
             if t < ready[target]:
-                if audit is not None:
-                    audit.append(AuditRecord("delivery", t, i, target, emit,
-                                             "refractory"))
                 continue
             advanced = t - origin[target] + eps_dt
             if advanced < T:
@@ -476,14 +451,8 @@ def run(config: SimConfig) -> SpikeTrace:
                     if events > max_events:
                         raise overflow()
                 seq += 1
-                if audit is not None:
-                    audit.append(AuditRecord("delivery", t, i, target, emit,
-                                             "advance"))
                 continue
             # The advance reaches threshold: the target fires now.
-            if audit is not None:
-                audit.append(AuditRecord("delivery", t, i, target, emit,
-                                         "cap_fire"))
             i = target
 
         # Node i fires at t.
@@ -510,7 +479,7 @@ def run(config: SimConfig) -> SpikeTrace:
             if end:
                 events += end
                 k = 0
-                while t + delays[k] < skip[targets[k]]:
+                while t + delays[k] < ready[targets[k]]:
                     k += 1
                 if k < end:
                     heappush(heap, (t + delays[k], i, seq, k, t, delays,
@@ -526,7 +495,6 @@ def run(config: SimConfig) -> SpikeTrace:
         natural_period=T,
         duration=duration,
         n_events=events,
-        audit=tuple(audit) if audit is not None else None,
     )
 
 

@@ -1,9 +1,9 @@
 """The delivery-cursor engine against the frozen one-entry-per-delivery engine.
 
 ``sim.run`` must reproduce ``reference_run`` exactly: fire times bit for
-bit, fire order, the event count, the audit log, and the pop at which
-the event budget overflows, with the audit log on (one pop per delivery)
-and off (refractory deliveries skipped).
+bit, fire order, the event count, and the pop at which the event budget
+overflows, though it skips the deliveries already known to be
+refractory where the reference pops each one.
 """
 import dataclasses
 import math
@@ -26,33 +26,18 @@ def assert_same_run(got, expected):
     assert got.times.tobytes() == expected.times.tobytes()
     assert got.nodes.tobytes() == expected.nodes.tobytes()
     assert got.n_events == expected.n_events
-    assert got.audit == expected.audit
-
-
-def baseline_config(n, diameter_over_vt, periods, **fields):
-    rng = np.random.default_rng(1)
-    return SimConfig(positions=rng.uniform(0, 1, (n, 2)) * diameter_over_vt,
-                     signal_velocity=1.0, natural_period=1.0,
-                     duration=float(periods),
-                     initial_phases=rng.uniform(0, 1, n), **fields)
 
 
 @pytest.mark.parametrize("diameter_over_vt, periods", [
     (0.1, 10), (1.0, 40), (4.0, 10),
 ])
 def test_baseline_pools_match_reference(diameter_over_vt, periods):
-    config = baseline_config(64, diameter_over_vt, periods)
+    rng = np.random.default_rng(1)
+    config = SimConfig(positions=rng.uniform(0, 1, (64, 2)) * diameter_over_vt,
+                       signal_velocity=1.0, natural_period=1.0,
+                       duration=float(periods),
+                       initial_phases=rng.uniform(0, 1, 64))
     assert_same_run(run(config), reference_run(config))
-
-
-def test_refractory_skip_keeps_trace_and_event_count():
-    # Without an audit log the engine skips deliveries already known to
-    # be refractory; each must still count as one event.
-    audited = run(baseline_config(64, 4.0, 10, record_audit=True))
-    skipping = run(baseline_config(64, 4.0, 10))
-    assert skipping.times.tobytes() == audited.times.tobytes()
-    assert skipping.nodes.tobytes() == audited.nodes.tobytes()
-    assert skipping.n_events == audited.n_events
 
 
 def test_rounding_tie_keeps_sequence_order():
@@ -65,8 +50,7 @@ def test_rounding_tie_keeps_sequence_order():
     config = SimConfig(positions=[[0.0], [b], [-a]], signal_velocity=1.0,
                        natural_period=1.0, duration=1.0,
                        coupling_strength=0.3, refractory_fraction=0.35,
-                       initial_phases=np.array([0.5, 0.2, 0.25]),
-                       record_audit=True)
+                       initial_phases=np.array([0.5, 0.2, 0.25]))
     trace = run(config)
     assert trace.nodes.tolist() == [0, 1, 2]
     assert trace.times[1] == trace.times[2] == 0.5 + a
@@ -77,28 +61,26 @@ def test_delivery_on_its_sources_next_fire_follows_that_fire():
     # Node 0 fires at 0.5; its delivery to node 1 (delay 0.3 / 0.3 = 1)
     # lands at 1.5, exactly on node 0's next natural fire. Both carry the
     # sequence number of the fire at 0.5, and the fire entry sorts first.
+    # Node 1, at phase 0.7 then, cap-fires on the delivery, so the trace
+    # shows the order.
     config = SimConfig(positions=[[0.0], [0.3], [0.6]], signal_velocity=0.3,
                        natural_period=1.0, duration=6.0,
-                       coupling_strength=0.1, refractory_fraction=0.0,
-                       initial_phases=np.array([0.5, 0.2, 0.0]),
-                       record_audit=True)
+                       coupling_strength=0.3, refractory_fraction=0.0,
+                       initial_phases=np.array([0.5, 0.2, 0.0]))
     trace = run(config)
-    at_tie = [(r.kind, r.source, r.target) for r in trace.audit
-              if r.time == 1.5]
-    assert at_tie == [("fire", 0, 0), ("delivery", 0, 1)]
+    fires = list(zip(trace.times.tolist(), trace.nodes.tolist()))
+    assert [f for f in fires if f[0] == 1.5] == [(1.5, 0), (1.5, 1)]
     assert_same_run(trace, reference_run(config))
 
 
-@pytest.mark.parametrize("record_audit", [False, True])
-def test_arrival_on_the_duration_counts_and_later_ones_do_not(record_audit):
+def test_arrival_on_the_duration_counts_and_later_ones_do_not():
     # Node 0 fires at 0.5 and its delivery lands at 1.0, exactly on the
     # duration: it counts as an event. Node 1 fires at 0.8; its delivery
     # lands at 1.3, and every later fire falls past the end.
     config = SimConfig(positions=[[0.0], [0.5]], signal_velocity=1.0,
                        natural_period=1.0, duration=1.0,
                        coupling_strength=0.1, refractory_fraction=0.0,
-                       initial_phases=np.array([0.5, 0.2]),
-                       record_audit=record_audit)
+                       initial_phases=np.array([0.5, 0.2]))
     trace = run(config)
     assert trace.times.tolist() == [0.5, 0.8]
     # Two initial fires and the delivery at 1.0.
@@ -166,9 +148,6 @@ def sim_configs(draw):
         initial_phases=np.array(phases),
         topology=draw(topologies(n)),
         max_events=20_000,
-        # Audit runs pop every delivery; runs without one skip the
-        # deliveries already known to be refractory.
-        record_audit=draw(st.booleans()),
     )
 
 

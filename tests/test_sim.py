@@ -26,6 +26,8 @@ from lightcone.sim import (
     _order_parameter,
     _refractory_end,
 )
+from sim_reference import reference_run
+from test_engine_reference import assert_same_run
 
 
 def two_node_oracle(distance, velocity, period, coupling, refractory,
@@ -315,7 +317,9 @@ class TestTwoNodeScenarios:
         assert report.convergence_time <= 20.0
 
     def test_distant_pair_cannot_interact_within_period(self):
-        trace = run(two_node_config(3.0, duration=12.0, record_audit=True))
+        config = two_node_config(3.0, duration=12.0)
+        trace = reference_run(config, record_audit=True)
+        assert_same_run(run(config), trace)
         deliveries = [r for r in trace.audit if r.kind == "delivery"]
         assert deliveries
         for record in deliveries:
@@ -331,14 +335,16 @@ class TestTwoNodeScenarios:
 
 class TestAuditLog:
     def make_trace(self):
+        # The reference engine's log, of a trace that run reproduces.
         rng = np.random.default_rng(3)
         config = SimConfig(positions=rng.uniform(0, 0.6, (5, 2)),
                            signal_velocity=1.0, natural_period=1.0,
                            duration=15.0, coupling_strength=0.25,
                            refractory_fraction=0.2,
-                           initial_phases=rng.uniform(0, 1, 5),
-                           record_audit=True)
-        return config, run(config)
+                           initial_phases=rng.uniform(0, 1, 5))
+        trace = reference_run(config, record_audit=True)
+        assert_same_run(run(config), trace)
+        return config, trace
 
     def test_log_is_chronological(self):
         _, trace = self.make_trace()
