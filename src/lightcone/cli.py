@@ -135,7 +135,9 @@ def _n_grid(n_min: float, n_max: float, per_decade: int) -> np.ndarray:
     decades = np.log10(n_max) - np.log10(n_min)
     points = max(2, int(round(decades * per_decade)) + 1)
     grid = np.logspace(np.log10(n_min), np.log10(n_max), points)
-    return np.unique(np.rint(grid).astype(np.int64))
+    # Whole numbers kept in float64: sizes beyond the int64 range (earth
+    # scale passes 1e20) stay exact, and ``int(n)`` prints each one.
+    return np.unique(np.rint(grid))
 
 
 def cmd_degree(args) -> int:

@@ -7,27 +7,21 @@ serve as the empirical counterpart of the closed-form relations.
 
 A sampled graph holds its adjacency as two numpy arrays, CSR ``indptr``
 and ``indices``, and everything here, from sampling to components and
-distances, reads those arrays with numpy alone. scipy never loads to
-sample or measure a graph: importing ``scipy.sparse`` costs about 20 MB
-of memory, more than any array the criterion-5 measurement allocates.
-``SampledGraph.adjacency`` builds a ``scipy.sparse.csr_matrix`` view on
-request, importing scipy then, for the test oracles (dijkstra, networkx,
-the frozen reference engine) that read one.
+distances, reads those arrays with numpy alone. scipy is not a
+dependency: its ``connected_components`` and dijkstra are test oracles
+only.
 """
 from __future__ import annotations
 
 import functools
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, NamedTuple, Union
+from typing import NamedTuple, Union
 
 import numpy as np
 
 from .constants import EULER_GAMMA
 from .errors import DisconnectedGraphError, check_integer, check_number
-
-if TYPE_CHECKING:
-    import scipy.sparse as sp
 
 __all__ = [
     "RandomGaussian",
@@ -109,9 +103,6 @@ class SampledGraph:
     Sampled graphs store each row's neighbours in increasing order, in
     int32. ``target_degrees`` keeps the drawn (pre-cleanup) degree
     sequence for power-law samples.
-
-    Sampling and measuring read only these arrays, so scipy never loads
-    for them. ``adjacency`` is a lazy scipy view for oracles.
     """
 
     n_nodes: int
@@ -140,20 +131,6 @@ class SampledGraph:
         if len(indices) and (indices.min() < 0 or indices.max() >= n):
             raise ValueError(f"indices must lie in [0, n_nodes) = [0, {n}), "
                              f"got {indices.min()}..{indices.max()}")
-
-    @property
-    def adjacency(self) -> sp.csr_matrix:
-        """The graph as a scipy CSR matrix with unit float64 weights.
-
-        For oracles that read a scipy matrix: each read imports
-        ``scipy.sparse`` and wraps the graph's own ``indptr`` and
-        ``indices`` (not copies) with a fresh all-ones ``data`` array.
-        """
-        import scipy.sparse as sp
-
-        n = self.n_nodes
-        return sp.csr_matrix((np.ones(len(self.indices)), self.indices,
-                              self.indptr), shape=(n, n))
 
     @property
     def degrees(self) -> np.ndarray:
@@ -364,7 +341,8 @@ def _symmetric_csr(rows: np.ndarray, cols: np.ndarray,
     cols[k], sorted by row and then column: the upper triangle in CSR
     order. Row i lists its lower neighbours (the rows of the edges whose
     column is i) and then its upper ones, so its indices increase, as in
-    scipy's CSR of the symmetric matrix, entry for entry and in int32.
+    the tests' oracle, scipy's CSR of the symmetric matrix, entry for
+    entry and in int32.
     Read in order, the lower blocks are the rows sorted by column: one
     sort of the keys ``cols << 32 | rows``, whose int32 cast is the row.
     The upper blocks are ``cols`` as given, so a mask of the lower slots
@@ -400,8 +378,8 @@ def sample_graph(dist: DegreeDistribution, n_total: int, seed: int) -> SampledGr
     Both samplers return each edge once as (i, j) with i < j, sorted by
     row and then column, which is the upper triangle in CSR order, and
     ``_symmetric_csr`` builds the graph's CSR arrays from it in numpy.
-    They equal the ``indptr`` and ``indices`` of scipy's COO route,
-    dtypes included.
+    They equal the ``indptr`` and ``indices`` of scipy's COO route, a
+    test oracle, dtypes included.
 
     Raises ValueError for an infeasible degree (a G(n, p) mean degree
     above n_total - 1, so p > 1, or a power-law degree >= n_total) and for

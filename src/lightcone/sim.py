@@ -191,9 +191,6 @@ class SpikeTrace:
     duration: float
     n_events: int
 
-    def node_fire_times(self, node: int) -> np.ndarray:
-        return self.times[self.nodes == node]
-
     def in_window(self, t0: float, t1: float) -> tuple[np.ndarray, np.ndarray]:
         mask = (self.times >= t0) & (self.times <= t1)
         return self.times[mask], self.nodes[mask]
@@ -253,7 +250,12 @@ def _delays(pos: np.ndarray, sources: np.ndarray, targets: np.ndarray,
 
 
 def pairwise_delays(positions: np.ndarray, signal_velocity: float) -> np.ndarray:
-    """Propagation delay matrix dist(i, j) / v; shared with the tests."""
+    """Propagation delay matrix dist(i, j) / v.
+
+    ``run`` computes only the delays along its edges. This full matrix
+    is for the frozen reference engine and the tests, and
+    ``bench/layers.py`` wraps it as the ``sim.pairwise_delays`` layer.
+    """
     pos = np.atleast_2d(np.asarray(positions, dtype=float))
     ids = np.arange(pos.shape[0])
     return _delays(pos, ids[:, None], ids[None, :], signal_velocity)

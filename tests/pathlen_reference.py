@@ -13,7 +13,8 @@ it read the upper triangle straight from the CSR rows.
 ``reference_push_edges`` is the BFS push level's grouping of the
 frontier's edges by neighbour as it was, a scipy ``tocsc`` transpose,
 before the numpy gather and argsort replaced it. Do not change them: the
-tests require the library to match them bit for bit.
+tests require the library to match them bit for bit. ``as_csr_matrix``
+hands a sampled graph to the oracles that read a scipy matrix.
 """
 from __future__ import annotations
 
@@ -30,6 +31,17 @@ from lightcone.graphs import (
     MIN_COVERAGE,
     PathLengthResult,
 )
+
+
+def as_csr_matrix(graph) -> sp.csr_matrix:
+    """The graph as a scipy CSR matrix with unit float64 weights.
+
+    Wraps the graph's own ``indptr`` and ``indices`` (not copies) with a
+    fresh all-ones ``data`` array.
+    """
+    n = graph.n_nodes
+    return sp.csr_matrix((np.ones(len(graph.indices)), graph.indices,
+                          graph.indptr), shape=(n, n))
 
 
 def reference_er_edge_list(n, p, rng):
@@ -111,7 +123,8 @@ def reference_measure_avg_path_length(graph, source_sample=None):
     n = graph.n_nodes
     if n < 2:
         raise DisconnectedGraphError(0.0, [n] if n else [])
-    ncomp, labels = connected_components(graph.adjacency, directed=False)
+    adjacency = as_csr_matrix(graph)
+    ncomp, labels = connected_components(adjacency, directed=False)
     counts = np.bincount(labels)
     giant = int(np.argmax(counts))
     size = int(counts[giant])
@@ -139,7 +152,7 @@ def reference_measure_avg_path_length(graph, source_sample=None):
     chunk = 256
     for start in range(0, len(sources), chunk):
         batch = sources[start:start + chunk]
-        dist = dijkstra(graph.adjacency, unweighted=True, indices=batch)
+        dist = dijkstra(adjacency, unweighted=True, indices=batch)
         dist = dist[:, nodes]
         # Every target in the component is reachable; drop the source itself.
         per_source[start:start + len(batch)] = (

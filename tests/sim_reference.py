@@ -4,11 +4,13 @@
 (N-1 per fire in an all-to-all pool) before the delivery-cursor engine
 replaced it. Do not change its event logic: the tests require the
 library to match its trace, event count and event-budget overflow
-exactly. One change has been made since it was frozen. The library
+exactly. Two changes have been made since it was frozen. The library
 engine no longer keeps a per-event audit log, so the switch for this
 engine's log is ``reference_run``'s ``record_audit`` keyword, not a
 ``SimConfig`` field, and the log's record and trace types live here. The
-log is the oracle the tests read to explain the fires of a trace.
+log is the oracle the tests read to explain the fires of a trace. And a
+sampled graph's neighbours are read from its ``indptr`` and ``indices``,
+the same arrays its former scipy view wrapped.
 """
 from __future__ import annotations
 
@@ -48,9 +50,9 @@ class ReferenceTrace(SpikeTrace):
 def _neighbours(config: SimConfig) -> list[np.ndarray]:
     n = config.n_nodes
     if isinstance(config.topology, SampledGraph):
-        adj = config.topology.adjacency
-        return [adj.indices[adj.indptr[i]:adj.indptr[i + 1]].astype(np.int64)
-                for i in range(n)]
+        graph = config.topology
+        return [graph.indices[graph.indptr[i]:graph.indptr[i + 1]]
+                .astype(np.int64) for i in range(n)]
     everyone = np.arange(n, dtype=np.int64)
     return [np.delete(everyone, i) for i in range(n)]
 

@@ -39,7 +39,7 @@ from lightcone import (
 )
 from lightcone.hardware import HardwareProfile
 
-from test_sim import two_node_config, two_node_oracle
+from test_sim import fire_times, two_node_config, two_node_oracle
 
 
 def report(criterion: int, passed: bool, detail: str) -> None:
@@ -179,7 +179,7 @@ def test_criterion_09_simulator_oracle_equivalence():
                                  params["coupling"], params["refractory"],
                                  params["phases"], 100.0)
         for node in (0, 1):
-            engine = trace.node_fire_times(node)
+            engine = fire_times(trace, node)
             reference = np.asarray(oracle[node])
             assert len(engine) == len(reference)
             worst = max(worst, float(np.max(np.abs(engine - reference))))

@@ -65,6 +65,19 @@ def test_degree_powerlaw_blocks_are_ordered():
     assert at_million[0] > at_million[1] > at_million[2]
 
 
+@pytest.mark.parametrize("command", [["degree", "--random"],
+                                     ["area", "--mode", "network"]])
+def test_grid_beyond_the_int64_range_prints_exact_sizes(command):
+    # Earth-scale element counts pass 1e20, above int64's 9.2e18.
+    result = run_cli(*command, "--n-min", "1e18", "--n-max", "1e20",
+                     "--format", "csv")
+    assert result.returncode == 0, result.stderr
+    assert result.stderr == ""
+    _, rows = parse_csv(result.stdout)
+    assert rows[0][0] == "1000000000000000000"
+    assert rows[-1][0] == "100000000000000000000"
+
+
 def test_degree_without_mode_is_usage_error():
     result = run_cli("degree")
     assert result.returncode == 2

@@ -1,11 +1,11 @@
-"""scipy loads only when a graph's scipy view is read.
+"""Every command and a criterion-5 sample run the same without scipy.
 
-A sampled graph holds its CSR arrays in numpy, and sampling, components,
-distances and ``edge_array`` read them with numpy alone, so importing the
-package, running any command and sampling and measuring a graph never
-load scipy. ``SampledGraph.adjacency``, the view the test oracles read,
-imports ``scipy.sparse`` on first use. The suite itself imports scipy,
-so the checks run in fresh interpreters.
+numpy is the package's only runtime dependency; scipy is a test oracle.
+A child interpreter with scipy made unimportable runs every CLI command,
+then samples and measures a criterion-5 graph and writes its edges. Its
+stdout and every file it writes must equal, byte for byte, those of the
+same script run with scipy importable, which must not load it either.
+The suite itself imports scipy, so both runs are fresh interpreters.
 """
 import json
 import subprocess
@@ -17,25 +17,44 @@ import lightcone
 SRC = str(Path(lightcone.__file__).resolve().parents[1])
 
 SCRIPT = """
+import dataclasses
 import json
 import sys
 
-src, tmp, config = sys.argv[1:]
+src, block = sys.argv[1:]
+if block == "block":
+    sys.modules["scipy"] = None  # every scipy import now raises ImportError
+    try:
+        import scipy.sparse
+    except ImportError:
+        pass
+    else:
+        sys.exit("scipy still imports")
 sys.path.insert(0, src)
+import numpy as np
+
 import lightcone
 import lightcone.cli as cli
 
-codes = [
-    cli.main(["paper-check", "--out", tmp + "/paper_check"]),
-    cli.main(["degree", "--random", "--out", tmp + "/degree"]),
-    cli.main(["pool", "--f", "6", "--out", tmp + "/pool"]),
-    cli.main(["simulate", "--config", config, "--out", tmp + "/simulate"]),
-    cli.main(["sweep", "--config", config, "--out", tmp + "/sweep"]),
-]
-before = "scipy" in sys.modules
-lightcone.sample_graph(lightcone.RandomGaussian(50, 2.0), 50, 0)
-print(json.dumps({"codes": codes, "before": before,
-                  "sampled": "scipy" in sys.modules}))
+graph = lightcone.sample_graph(lightcone.RandomGaussian(10**4, 2.5), 10**4, 0)
+result = lightcone.measure_avg_path_length(graph, source_sample=256)
+np.save("edges.npy", graph.edge_array())
+masked = "numpy.ma" in sys.modules
+
+codes = [cli.main(args) for args in (
+    ["degree", "--random", "--powerlaw", "--out", "degree"],
+    ["pool", "--f", "6", "--out", "pool"],
+    ["area", "--mode", "network", "--out", "area"],
+    ["power", "--n-total", "1e9", "--out", "power"],
+    ["simulate", "--config", "sim.json", "--out", "simulate"],
+    ["sweep", "--config", "sim.json", "--out", "sweep"],
+    ["paper-check", "--out", "paper_check"],
+)]
+loaded = sorted(name for name, module in sys.modules.items()
+                if (name == "scipy" or name.startswith("scipy."))
+                and module is not None)
+print(json.dumps({"codes": codes, "result": dataclasses.asdict(result),
+                  "masked": masked, "loaded": loaded}))
 """
 
 CONFIG = {
@@ -52,77 +71,33 @@ CONFIG = {
 }
 
 
-def test_commands_without_a_graph_never_load_scipy(tmp_path: Path):
-    config = tmp_path / "sim.json"
-    config.write_text(json.dumps(CONFIG))
-    result = subprocess.run(
-        [sys.executable, "-c", SCRIPT, SRC, str(tmp_path), str(config)],
-        capture_output=True, text=True)
+def run_script(cwd: Path, block: str) -> tuple[str, dict[str, bytes]]:
+    """The script's stdout and the files it leaves in ``cwd``."""
+    cwd.mkdir()
+    (cwd / "sim.json").write_text(json.dumps(CONFIG))
+    result = subprocess.run([sys.executable, "-c", SCRIPT, SRC, block],
+                            cwd=cwd, capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
-    report = json.loads(result.stdout.splitlines()[-1])
-    assert report["codes"] == [0, 0, 0, 0, 0]
-    assert report["before"] is False
-    assert report["sampled"] is False
-    assert (tmp_path / "paper_check" / "paper_check.json").exists()
-    assert (tmp_path / "simulate" / "spike_trace.csv").exists()
+    files = {path.relative_to(cwd).as_posix(): path.read_bytes()
+             for path in sorted(cwd.rglob("*")) if path.is_file()}
+    return result.stdout, files
 
 
-GRAPH_SCRIPT = """
-import json
-import sys
-
-import numpy as np
-
-src, tests = sys.argv[1:]
-sys.path.insert(0, src)
-import lightcone
-
-
-def scipy_modules():
-    return sorted(m for m in sys.modules
-                  if m == "scipy" or m.startswith("scipy."))
-
-
-graph = lightcone.sample_graph(lightcone.RandomGaussian(10**4, 2.5), 10**4, 0)
-result = lightcone.measure_avg_path_length(graph, source_sample=256)
-masked = "numpy.ma" in sys.modules
-edges = graph.edge_array()
-loaded = scipy_modules()
-adjacency = graph.adjacency
-viewed = scipy_modules()
-
-sys.path.insert(0, tests)
-from pathlen_reference import reference_adjacency
-
-rows, cols = edges.astype(np.int64).T
-reference = reference_adjacency(rows, cols, graph.n_nodes)
-same = [getattr(adjacency, name).dtype == getattr(reference, name).dtype
-        and np.array_equal(getattr(adjacency, name), getattr(reference, name))
-        for name in ("indptr", "indices", "data")]
-same.append(adjacency.has_canonical_format
-            == reference.has_canonical_format)
-print(json.dumps({"mean": result.mean, "edges": len(edges), "loaded": loaded,
-                  "masked": masked, "viewed": viewed, "same": same}))
-"""
-
-
-def test_sampling_and_measuring_never_load_csgraph():
-    result = subprocess.run(
-        [sys.executable, "-c", GRAPH_SCRIPT, SRC, str(Path(__file__).parent)],
-        capture_output=True, text=True)
-    assert result.returncode == 0, result.stderr
-    report = json.loads(result.stdout.splitlines()[-1])
+def test_every_command_and_a_criterion_5_sample_run_without_scipy(
+        tmp_path: Path):
+    stdout, files = run_script(tmp_path / "blocked", "block")
+    assert (stdout, files) == run_script(tmp_path / "importable", "allow")
+    report = json.loads(stdout.splitlines()[-1])
+    assert report["codes"] == [0] * 7
     # Criterion 5's rule: the formula's 2.5 within 10% of the mean.
-    assert abs(report["mean"] - 2.5) <= 0.1 * report["mean"]
-    assert report["edges"] > 0
-    assert report["loaded"] == []
+    mean = report["result"]["mean"]
+    assert abs(mean - 2.5) <= 0.1 * mean
     # Dropping repeated sources does not go through np.unique, which
     # loads numpy.ma.
     assert report["masked"] is False
-    # Reading the oracles' view loads scipy.sparse but not its graph
-    # routines, and the view equals the frozen COO route's matrix.
-    assert "scipy.sparse" in report["viewed"]
-    for module in ("scipy.sparse.csgraph", "scipy.linalg",
-                   "scipy.sparse.linalg"):
-        assert module not in report["viewed"]
-    assert report["same"] == [True] * 4
+    assert report["loaded"] == []
+    for name in ("edges.npy", "degree/degree.csv", "pool/pool.csv",
+                 "area/network_area.csv", "power/power.csv",
+                 "simulate/spike_trace.csv", "sweep/sweep.csv",
+                 "paper_check/paper_check.json"):
+        assert files.get(name), name

@@ -34,6 +34,7 @@ from lightcone.graphs import (
     _symmetric_csr,
 )
 from pathlen_reference import (
+    as_csr_matrix,
     reference_adjacency,
     reference_configuration_edges,
     reference_distance_sums,
@@ -53,14 +54,13 @@ def graph_from_edges(n, edges):
                         seed=0)
 
 
-def assert_same_csr(a, b):
-    """Equal as stored: same arrays, same dtypes, same canonical flag."""
-    assert type(a) is type(b) and a.shape == b.shape
-    for name in ("indptr", "indices", "data"):
-        x, y = getattr(a, name), getattr(b, name)
+def assert_same_csr(graph, reference):
+    """The graph's own CSR arrays equal the reference matrix's, dtypes
+    included."""
+    for name in ("indptr", "indices"):
+        x, y = getattr(graph, name), getattr(reference, name)
         assert x.dtype == y.dtype, name
         np.testing.assert_array_equal(x, y, err_msg=name)
-    assert a.has_canonical_format == b.has_canonical_format
 
 
 def assert_same_partition(labels, adjacency):
@@ -82,7 +82,7 @@ def assert_sums_match_oracles(graph, edges, sources, nx_sources=None):
     sums = _bfs_distance_sums(csr, sources, _components(csr))
     assert sums.dtype == np.int64
     np.testing.assert_array_equal(
-        sums, reference_distance_sums(graph.adjacency, sources))
+        sums, reference_distance_sums(as_csr_matrix(graph), sources))
     nx_graph = nx.Graph(edges)
     nx_graph.add_nodes_from(range(graph.n_nodes))
     for k in (range(len(sources)) if nx_sources is None else nx_sources):
@@ -333,7 +333,7 @@ class TestSampleGraph:
 
     def test_no_self_loops_or_parallel_edges(self):
         graph = sample_graph(PowerLaw(alpha=2.5, k_min=2.0), 3000, seed=5)
-        adj = graph.adjacency
+        adj = as_csr_matrix(graph)
         assert adj.diagonal().sum() == 0
         assert np.all(adj.data == 1.0)
         assert (adj != adj.T).nnz == 0
@@ -357,8 +357,7 @@ class TestSampleGraph:
             graph = sample_graph(dist, n_total, seed)
             rows, cols = drawn.pop()
             assert graph.n_edges == len(rows)
-            assert_same_csr(graph.adjacency,
-                            reference_adjacency(rows, cols, n_total))
+            assert_same_csr(graph, reference_adjacency(rows, cols, n_total))
 
     def test_edgeless_adjacency_matches_frozen_coo_route(self, monkeypatch):
         empty = np.empty(0, dtype=np.int64)
@@ -367,7 +366,7 @@ class TestSampleGraph:
         graph = sample_graph(RandomGaussian(n_total=50, avg_path_length=3.0),
                              50, seed=0)
         assert graph.n_edges == 0
-        assert_same_csr(graph.adjacency, reference_adjacency(empty, empty, 50))
+        assert_same_csr(graph, reference_adjacency(empty, empty, 50))
 
     @pytest.mark.parametrize("dist,n_total", [
         (RandomGaussian(n_total=10**4, avg_path_length=2.5), 10**4),
@@ -376,7 +375,7 @@ class TestSampleGraph:
     def test_edge_array_matches_frozen_triu_route(self, dist, n_total):
         graph = sample_graph(dist, n_total, seed=4)
         edges = graph.edge_array()
-        reference = reference_edge_array(graph.adjacency)
+        reference = reference_edge_array(as_csr_matrix(graph))
         assert edges.dtype == reference.dtype == np.int32
         assert edges.tobytes() == reference.tobytes()
 
@@ -385,18 +384,16 @@ class TestSampleGraph:
     def test_edge_array_matches_frozen_route_on_drawn_graphs(self, drawn):
         graph, edges, rng = drawn
         result = graph.edge_array()
-        reference = reference_edge_array(graph.adjacency)
+        reference = reference_edge_array(as_csr_matrix(graph))
         assert result.dtype == reference.dtype
         assert result.tobytes() == reference.tobytes()
         assert result.tolist() == sorted(map(list, edges))
         # The same graph with each row's columns stored out of order.
-        adjacency = graph.adjacency.copy()
+        indices = graph.indices.copy()
         for row in range(graph.n_nodes):
-            start, end = adjacency.indptr[row:row + 2]
-            adjacency.indices[start:end] = rng.permutation(
-                adjacency.indices[start:end])
-        shuffled = SampledGraph(graph.n_nodes, adjacency.indptr,
-                                adjacency.indices, seed=0)
+            start, end = graph.indptr[row:row + 2]
+            indices[start:end] = rng.permutation(indices[start:end])
+        shuffled = SampledGraph(graph.n_nodes, graph.indptr, indices, seed=0)
         assert shuffled.edge_array().tobytes() == reference.tobytes()
 
     def test_sampling_peaks_near_what_the_adjacency_holds(self):
@@ -412,7 +409,7 @@ class TestSampleGraph:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        adjacency = graph.adjacency
+        adjacency = as_csr_matrix(graph)
         held = sum(getattr(adjacency, name).nbytes
                    for name in ("data", "indices", "indptr"))
         assert peak < 2.2 * held
@@ -431,7 +428,7 @@ class TestSampleGraph:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        adjacency = graph.adjacency
+        adjacency = as_csr_matrix(graph)
         held = sum(getattr(adjacency, name).nbytes
                    for name in ("data", "indices", "indptr"))
         assert peak < 1.65 * held
@@ -446,7 +443,7 @@ class TestSampleGraph:
         n = graph.n_nodes
         rows, cols = np.array(edges, dtype=np.int64).reshape(-1, 2).T
         indptr, indices = _symmetric_csr(rows, cols, n)
-        assert_same_csr(SampledGraph(n, indptr, indices, seed=0).adjacency,
+        assert_same_csr(SampledGraph(n, indptr, indices, seed=0),
                         reference_adjacency(rows, cols, n))
 
     def test_infeasible_degree_sequence_rejected(self):
@@ -588,7 +585,7 @@ class TestComponents:
     def test_partition_matches_scipy_on_drawn_graphs(self, drawn):
         graph = drawn[0]
         assert_same_partition(_components(_search_csr(graph)),
-                              graph.adjacency)
+                              as_csr_matrix(graph))
 
     @pytest.mark.parametrize("n,edges", [
         (10**4, [(i, i + 1) for i in range(10**4 - 1)]),  # a long path
@@ -603,7 +600,7 @@ class TestComponents:
     def test_partition_matches_scipy_on_extreme_shapes(self, n, edges):
         graph = graph_from_edges(n, edges)
         assert_same_partition(_components(_search_csr(graph)),
-                              graph.adjacency)
+                              as_csr_matrix(graph))
 
     @settings(max_examples=150, deadline=None)
     @given(graphs_with_isolated_nodes())
@@ -653,7 +650,7 @@ class TestMeasureAvgPathLength:
         sums = _bfs_distance_sums(csr, sources, _components(csr))
         assert sums.dtype == np.int64
         np.testing.assert_array_equal(
-            sums, reference_distance_sums(graph.adjacency, sources))
+            sums, reference_distance_sums(as_csr_matrix(graph), sources))
         nx_graph = nx.Graph(edges)
         nx_graph.add_nodes_from(range(n))
         nx_sums = {s: sum(nx.single_source_shortest_path_length(nx_graph, s)
@@ -747,7 +744,7 @@ class TestMeasureAvgPathLength:
                                   nx_sources=())
         assert calls  # the direction rule chose a push
         rng = np.random.default_rng(0)
-        adjacency = graph.adjacency
+        adjacency = as_csr_matrix(graph)
         for front_nodes, (new_nodes, pushed, segments) in calls:
             want_nodes, want_edges, want_segments = reference_push_edges(
                 adjacency, front_nodes)
