@@ -36,7 +36,13 @@ from .errors import (
     check_number,
 )
 from .golden import all_passed, run_golden_checks
-from .graphs import PowerLaw, avg_degree_random, powerlaw_max_degree, powerlaw_mean_degree
+from .graphs import (
+    PowerLaw,
+    avg_degree_random,
+    powerlaw_max_degree,
+    powerlaw_mean_degree,
+    unique_sorted,
+)
 from .hardware import (
     HardwareProfile,
     network_area,
@@ -136,8 +142,9 @@ def _n_grid(n_min: float, n_max: float, per_decade: int) -> np.ndarray:
     points = max(2, int(round(decades * per_decade)) + 1)
     grid = np.logspace(np.log10(n_min), np.log10(n_max), points)
     # Whole numbers kept in float64: sizes beyond the int64 range (earth
-    # scale passes 1e20) stay exact, and ``int(n)`` prints each one.
-    return np.unique(np.rint(grid))
+    # scale passes 1e20) stay exact, and ``int(n)`` prints each one. The
+    # grid increases, so rounding can only repeat a neighbour.
+    return unique_sorted(np.rint(grid))
 
 
 def cmd_degree(args) -> int:

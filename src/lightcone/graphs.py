@@ -52,6 +52,11 @@ MAX_STUBS = 200_000_000
 # neighbour.
 _RESTRICTED_PULL_COST = 2
 _PUSH_COST = 8
+# Edge-sized passes run over blocks of this many rows (or nodes), so
+# their temporaries stay a constant size whatever the graph's.
+_BLOCK = 2**11
+# The G(n, p) sampler's largest chunk of uniform draws.
+_DRAWS = 2**16
 
 
 @dataclass(frozen=True)
@@ -268,11 +273,13 @@ def _er_edge_list(n: int, p: float,
     """G(n, p) edges by geometric skipping over the upper-triangle pairs.
 
     Pairs are numbered row by row: row i holds the n - 1 - i pairs (i, j),
-    j > i, and ends before ``row_ends[i]``. Each chunk turns uniform
-    draws into skips and their running sum in its own buffers. The rows
-    come from per-row counts: one search of the sorted pair numbers for
-    the n - 1 row ends, then ``np.repeat``. Pair ``lin`` of row i is
-    column ``lin + n - row_ends[i]``. At p = 1 every skip is 1, so every
+    j > i, and ends before ``row_ends[i]``. Each chunk of at most
+    ``_DRAWS`` uniform draws turns into skips and their running sum in its
+    own buffers; the draws follow one stream, so the chunking does not
+    change the edges. The rows come from per-row counts: one search of the
+    sorted pair numbers for the n - 1 row ends, then ``np.repeat``. Pair
+    ``lin`` of row i is column ``lin + n - row_ends[i]``, shifted in
+    place one block of pairs at a time. At p = 1 every skip is 1, so every
     pair is taken.
     """
     n_pairs = n * (n - 1) // 2
@@ -283,8 +290,8 @@ def _er_edge_list(n: int, p: float,
     picks = []
     cur = -1
     while True:
-        # Chunk size with slack so one pass usually suffices.
-        m = max(1024, int(1.2 * p * (n_pairs - cur)) + 16)
+        # Chunk size with slack so one pass usually suffices below the cap.
+        m = min(_DRAWS, max(1024, int(1.2 * p * (n_pairs - cur)) + 16))
         u = rng.random(m)
         np.log(u, out=u)
         u /= logq
@@ -301,11 +308,22 @@ def _er_edge_list(n: int, p: float,
             break
         cur = int(idx[-1])
     lin = np.concatenate(picks)
+    del picks, take, idx
     row_ends = np.cumsum(np.arange(n - 1, 0, -1, dtype=np.int64))
     counts = np.diff(np.searchsorted(lin, row_ends), prepend=0)
     rows = np.repeat(np.arange(n - 1, dtype=np.int64), counts)
-    lin += np.repeat(n - row_ends, counts)
+    shift = n - row_ends
+    for first in range(0, len(lin), _DRAWS):
+        lin[first:first + _DRAWS] += shift.take(rows[first:first + _DRAWS])
     return rows, lin
+
+
+def unique_sorted(values: np.ndarray) -> np.ndarray:
+    """``np.unique`` of an array already in order: each run of equal
+    values kept once. np.unique itself loads numpy.ma."""
+    keep = np.ones(len(values), dtype=bool)
+    np.not_equal(values[1:], values[:-1], out=keep[1:])
+    return values[keep]
 
 
 def _configuration_edges(degrees: np.ndarray,
@@ -314,8 +332,8 @@ def _configuration_edges(degrees: np.ndarray,
     """Stub matching followed by self-loop and multi-edge cleanup.
 
     Each pair (lo, hi) is keyed as ``lo * n + hi``; since hi < n, the
-    unique keys sort in (lo, hi) order. Each stub-sized temporary is
-    freed after its last use.
+    keys sort in (lo, hi) order, and repeats are dropped after the sort.
+    Each stub-sized temporary is freed after its last use.
     """
     n = len(degrees)
     stubs = np.repeat(np.arange(n, dtype=np.int64), degrees)
@@ -329,8 +347,8 @@ def _configuration_edges(degrees: np.ndarray,
     keys *= n
     keys += a
     del a
-    keys = np.unique(keys)
-    return np.divmod(keys, n)
+    keys.sort()
+    return np.divmod(unique_sorted(keys), n)
 
 
 def _symmetric_csr(rows: np.ndarray, cols: np.ndarray,
@@ -433,11 +451,10 @@ def sample_graph(dist: DegreeDistribution, n_total: int, seed: int) -> SampledGr
 class _SearchCSR(NamedTuple):
     """A graph's CSR as the component labelling and the BFS read it.
 
-    ``indices`` is an intp copy, since ``take()`` indexes 8x slower with
-    int32. ``rows`` are the non-empty rows and ``starts`` where each
-    begins: ``reduceat`` gives an empty segment a stray element and
-    rejects a trailing one that starts at nnz, so reductions over every
-    row run over these.
+    ``indices`` are the graph's own, in int32. ``rows`` are the non-empty
+    rows and ``starts`` where each begins: ``reduceat`` gives an empty
+    segment a stray element and rejects a trailing one that starts at
+    nnz, so reductions over every row run over these.
     """
 
     indptr: np.ndarray
@@ -449,8 +466,36 @@ class _SearchCSR(NamedTuple):
 def _search_csr(graph: SampledGraph) -> _SearchCSR:
     indptr = graph.indptr
     rows = np.flatnonzero(np.diff(indptr))
-    return _SearchCSR(indptr, graph.indices.astype(np.intp), rows,
-                      indptr[rows])
+    return _SearchCSR(indptr, graph.indices, rows, indptr[rows])
+
+
+def _reduce_segments(ufunc: np.ufunc, values: np.ndarray, edges: np.ndarray,
+                     segments: np.ndarray) -> np.ndarray:
+    """``ufunc`` over ``values.take(edges)`` from each segment start to
+    the next, for each row of ``values`` (one row per word). ``edges``
+    are intp, since ``take()`` indexes 9x slower with int32."""
+    return np.stack([ufunc.reduceat(word.take(edges), segments)
+                     for word in values])
+
+
+def _reduce_rows(ufunc: np.ufunc, values: np.ndarray,
+                 csr: _SearchCSR) -> np.ndarray:
+    """``_reduce_segments`` over every non-empty row's neighbours.
+
+    The result has one column per entry of ``csr.rows``. The entries are
+    read ``_BLOCK`` rows at a time, each block's indices converted to
+    intp, so no temporary grows with the edge count.
+    """
+    indptr, rows, starts = csr.indptr, csr.rows, csr.starts
+    out = np.empty((len(values), len(rows)), dtype=values.dtype)
+    for first in range(0, len(rows), _BLOCK):
+        segments = starts[first:first + _BLOCK]
+        last = first + len(segments)
+        edges = csr.indices[segments[0]:indptr[rows[last - 1] + 1]]
+        out[:, first:last] = _reduce_segments(ufunc, values,
+                                              edges.astype(np.intp),
+                                              segments - segments[0])
+    return out
 
 
 def _components(csr: _SearchCSR) -> np.ndarray:
@@ -471,11 +516,11 @@ def _components(csr: _SearchCSR) -> np.ndarray:
     ``connected_components`` finds (a tests-only oracle here).
     """
     n = len(csr.indptr) - 1
-    indices, rows, starts = csr.indices, csr.rows, csr.starts
-    # int32 pointers halve the edge-sized gather.
+    rows = csr.rows
+    # int32 pointers halve the gathers.
     parent = np.arange(n, dtype=np.int32 if n <= 2**31 else np.intp)
     while len(rows):
-        low = np.minimum.reduceat(parent.take(indices), starts)
+        low = _reduce_rows(np.minimum, parent[None], csr)[0]
         new = parent.copy()
         np.minimum.at(new, parent.take(rows), low)
         new[rows] = np.minimum(new.take(rows), low)
@@ -543,20 +588,21 @@ def _bfs_distance_sums(csr: _SearchCSR, sources: np.ndarray,
             if _PUSH_COST * int(front_lengths.sum()) < pull_cost:
                 new_nodes, edges, segments = _push_edges(csr, front_nodes,
                                                          front_lengths)
-                words = front
+                new = _reduce_segments(np.bitwise_or, front, edges, segments)
             else:
                 words = np.zeros_like(own)
                 for row, f in zip(words, front):
                     row[front_nodes] = f
                 if restricted_cost >= len(indices):
-                    new_nodes, edges, segments = csr.rows, indices, csr.starts
+                    new_nodes = csr.rows
+                    new = _reduce_rows(np.bitwise_or, words, csr)
                 else:
                     # Nodes that lack a bit have a neighbour: their
                     # component holds a source other than themselves.
                     new_nodes = needy
                     edges, segments = _row_entries(csr, needy, lengths)
-            new = np.stack([np.bitwise_or.reduceat(w.take(edges), segments)
-                            for w in words])
+                    new = _reduce_segments(np.bitwise_or, words, edges,
+                                           segments)
             new &= lacking.take(new_nodes, axis=1)
             keep = _any_bit(new) != 0
             front_nodes, front = new_nodes[keep], new.compress(keep, axis=1)
@@ -570,12 +616,13 @@ def _bfs_distance_sums(csr: _SearchCSR, sources: np.ndarray,
 def _row_entries(csr: _SearchCSR, nodes: np.ndarray,
                  lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The CSR entries of ``nodes``, whose degrees are ``lengths``, one
-    node after another, and where each node's run starts."""
+    node after another, in intp, and where each node's run starts."""
     ends = np.cumsum(lengths)
     segments = ends - lengths
-    edge_ids = (np.repeat(csr.indptr[nodes] - segments, lengths)
-                + np.arange(ends[-1]))
-    return csr.indices.take(edge_ids), segments
+    entries = np.repeat(csr.indptr[nodes] - segments, lengths)
+    entries += np.arange(ends[-1])
+    entries[:] = csr.indices.take(entries)  # entry ids become neighbours
+    return entries, segments
 
 
 def _push_edges(csr: _SearchCSR, front_nodes: np.ndarray,
@@ -605,15 +652,18 @@ def _any_bit(words: np.ndarray) -> np.ndarray:
 def _bit_counts(words: np.ndarray) -> np.ndarray:
     """Number of nodes with each bit set; bit i of word j counts at 64j + i.
 
-    The bits are unpacked one row per node and summed 255 nodes at a time
-    as uint64 words, whose eight byte lanes then each hold a count below
-    256: an eighth of the additions of a bytewise sum.
+    The bits of ``_BLOCK`` nodes at a time are unpacked one row per node
+    and summed 255 nodes at a time as uint64 words, whose eight byte
+    lanes then each hold a count below 256: an eighth of the additions of
+    a bytewise sum.
     """
-    unpacked = np.unpackbits(np.ascontiguousarray(words.T).view(np.uint8),
-                             axis=1, bitorder="little").view("<u8")
-    counts = np.zeros(8 * unpacked.shape[1], dtype=np.int64)
-    for block in range(0, len(unpacked), 255):
-        counts += unpacked[block:block + 255].sum(axis=0).view(np.uint8)
+    counts = np.zeros(64 * len(words), dtype=np.int64)
+    for first in range(0, words.shape[1], _BLOCK):
+        block = np.ascontiguousarray(words[:, first:first + _BLOCK].T)
+        unpacked = np.unpackbits(block.view(np.uint8), axis=1,
+                                 bitorder="little").view("<u8")
+        for part in range(0, len(unpacked), 255):
+            counts += unpacked[part:part + 255].sum(axis=0).view(np.uint8)
     return counts
 
 
@@ -667,9 +717,8 @@ def measure_avg_path_length(graph: SampledGraph,
     else:
         k = min(int(source_sample), size)
         sources = nodes[np.linspace(0, size - 1, k).astype(np.int64)]
-        # The indices never decrease, so a repeat follows its original:
-        # np.unique would also load numpy.ma.
-        sources = sources[np.r_[True, sources[1:] != sources[:-1]]]
+        # The indices never decrease, so a repeat follows its original.
+        sources = unique_sorted(sources)
         exact = len(sources) == size
 
     # Every target in the component is reachable; the source adds 0.

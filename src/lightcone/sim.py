@@ -78,7 +78,7 @@ from .errors import (
     check_integer,
     check_number,
 )
-from .graphs import SampledGraph
+from .graphs import SampledGraph, unique_sorted
 
 __all__ = [
     "SimConfig",
@@ -307,7 +307,7 @@ def _lanes(config: SimConfig) -> tuple[list[tuple], dict[int, list[int]]]:
     # Rows that share a fan sort as one (rows, fan) matrix of edge
     # indices. The sort is stable: equal delays keep neighbour-list order.
     order = np.empty(len(indices), dtype=np.int64)
-    for fan in np.unique(fans).tolist():
+    for fan in unique_sorted(np.sort(fans)).tolist():
         if fan == 0:
             continue
         edges = indptr[:-1][fans == fan, None] + np.arange(fan)
@@ -324,10 +324,11 @@ def _lanes(config: SimConfig) -> tuple[list[tuple], dict[int, list[int]]]:
     gaps = np.diff(sorted_delays)
     close = np.flatnonzero((gaps > 0.0) & (gaps <= tol))
     del gaps
-    # Gap g lies inside source i's lane when edge g + 1 is also i's.
+    # Gap g lies inside source i's lane when edge g + 1 is also i's. The
+    # gaps increase, so their owners never decrease.
     owner = np.searchsorted(indptr, close, side="right") - 1
     tied = {}
-    for i in np.unique(owner[close + 1 < indptr[owner + 1]]).tolist():
+    for i in unique_sorted(owner[close + 1 < indptr[owner + 1]]).tolist():
         a, b = bounds[i]
         ranks = order[a:b].tolist()
         if _has_rounding_tie(sorted_delays[a:b].tolist(), ranks, tol):

@@ -571,6 +571,15 @@ class TestEdgeSamplersMatchFrozen:
             reference_configuration_edges(degrees,
                                           np.random.default_rng(seed)))
 
+    @pytest.mark.parametrize("n,p", [(2000, 0.05), (700, 0.9)])
+    def test_er_edge_list_past_the_chunk_cap(self, n, p):
+        # Over 2**16 edges: several capped chunks of draws, and the column
+        # shift in more than one block.
+        rows, cols = _er_edge_list(n, p, np.random.default_rng(5))
+        assert len(rows) > 2**16
+        assert_same_edges((rows, cols), reference_er_edge_list(
+            n, p, np.random.default_rng(5)))
+
 
 def renumbered_path(n):
     """A path through the nodes in random order: of these shapes, the one
@@ -615,6 +624,53 @@ class TestComponents:
             assert info.value.coverage == expected.coverage
             assert info.value.component_sizes == expected.component_sizes
             assert str(info.value) == str(expected)
+
+
+def star_beside_empty_rows(leaves):
+    """A star whose hub, node 3, has ``leaves`` neighbours, a three-node
+    path and empty rows before, between and after them."""
+    first_leaf = 10
+    edges = [(3, leaf) for leaf in range(first_leaf, first_leaf + leaves)]
+    edges += [(5, 6), (6, 7)]
+    return graph_from_edges(first_leaf + leaves + 3, edges), edges
+
+
+class TestBlockEdges:
+    """The edge-sized passes on blocks of a few rows, so that drawn graphs
+    cross block edges, as graphs of more than ``_BLOCK`` rows do."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(graphs_with_isolated_nodes(), st.integers(1, 5))
+    def test_partition_matches_scipy_with_small_blocks(self, drawn, block):
+        graph = drawn[0]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(graphs_module, "_BLOCK", block)
+            labels = _components(_search_csr(graph))
+        assert_same_partition(labels, as_csr_matrix(graph))
+
+    @settings(max_examples=150, deadline=None)
+    @given(graphs_with_isolated_nodes(),
+           st.sampled_from(SOURCE_COUNTS + ("all",)), st.integers(1, 5))
+    def test_bfs_sums_match_oracles_with_small_blocks(self, drawn, count,
+                                                      block):
+        graph, edges, rng = drawn
+        n = graph.n_nodes
+        sources = (np.arange(n) if count == "all"
+                   else rng.integers(0, n, size=count))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(graphs_module, "_BLOCK", block)
+            assert_sums_match_oracles(graph, edges, sources)
+
+    @pytest.mark.parametrize("block", [3, None],
+                             ids=["block-3", "module-block"])
+    def test_hub_row_longer_than_a_block(self, monkeypatch, block):
+        if block is not None:
+            monkeypatch.setattr(graphs_module, "_BLOCK", block)
+        graph, edges = star_beside_empty_rows(graphs_module._BLOCK + 5)
+        n = graph.n_nodes
+        assert_same_partition(_components(_search_csr(graph)),
+                              as_csr_matrix(graph))
+        assert_sums_match_oracles(graph, edges, [3, 10, n - 4, 6, 0, n - 1])
 
 
 class TestMeasureAvgPathLength:
@@ -767,6 +823,23 @@ class TestMeasureAvgPathLength:
         graph = graph_from_edges(4, [(0, 1), (1, 2), (2, 3)])
         assert measure_avg_path_length(graph, np.int64(3)) == (
             measure_avg_path_length(graph, 3))
+
+    def test_measuring_peaks_near_what_the_graph_holds(self):
+        """Measuring the criterion-5 graph from 256 sources allocates at
+        most 2.105-2.108x the bytes of its ``indptr`` and ``indices``
+        (seeds 0-5), since the edge-sized passes run in blocks; 5.14x
+        while the search held an intp copy of the indices and gathered a
+        fresh edge-sized array per word. 2.3 is ~10% slack."""
+        dist = RandomGaussian(n_total=10**4, avg_path_length=2.5)
+        measure_avg_path_length(sample_graph(dist, 1000, seed=0), 256)
+        graph = sample_graph(dist, 10**4, seed=1)
+        tracemalloc.start()
+        try:
+            measure_avg_path_length(graph, 256)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.3 * (graph.indptr.nbytes + graph.indices.nbytes)
 
     def test_sampled_estimate_reports_stderr(self):
         dist = RandomGaussian(n_total=4000, avg_path_length=2.0)
