@@ -55,7 +55,8 @@ _PUSH_COST = 8
 # Edge-sized passes run over blocks of this many rows (or nodes), so
 # their temporaries stay a constant size whatever the graph's.
 _BLOCK = 2**11
-# The G(n, p) sampler's largest chunk of uniform draws.
+# The G(n, p) sampler's largest chunk of uniform draws, and the CSR
+# build's block of sort keys.
 _DRAWS = 2**16
 
 
@@ -272,21 +273,26 @@ def _er_edge_list(n: int, p: float,
                   rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """G(n, p) edges by geometric skipping over the upper-triangle pairs.
 
-    Pairs are numbered row by row: row i holds the n - 1 - i pairs (i, j),
-    j > i, and ends before ``row_ends[i]``. Each chunk of at most
-    ``_DRAWS`` uniform draws turns into skips and their running sum in its
-    own buffers; the draws follow one stream, so the chunking does not
-    change the edges. The rows come from per-row counts: one search of the
-    sorted pair numbers for the n - 1 row ends, then ``np.repeat``. Pair
-    ``lin`` of row i is column ``lin + n - row_ends[i]``, shifted in
-    place one block of pairs at a time. At p = 1 every skip is 1, so every
+    Returns each row's count of upper neighbours (int64, length n) and
+    their columns (int32), row by row and increasing within a row: the
+    upper triangle in CSR order, with no row array. Pairs are numbered
+    row by row: row i holds the n - 1 - i pairs (i, j), j > i, and ends
+    before ``row_ends[i]``. Each chunk of at most ``_DRAWS`` uniform draws
+    turns into skips and their running sum in its own buffers; the draws
+    follow one stream, so the chunking does not change the edges. A
+    chunk's per-row counts come from one search of its pair numbers for
+    the row ends it spans, and are added into ``counts``, since a row may
+    span chunks. Pair ``lin`` of row i is column ``lin + n - row_ends[i]``,
+    shifted in place and kept as int32. At p = 1 every skip is 1, so every
     pair is taken.
     """
     n_pairs = n * (n - 1) // 2
+    counts = np.zeros(n, dtype=np.int64)
     if p <= 0.0 or n_pairs == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty
+        return counts, np.empty(0, dtype=np.int32)
     logq = math.log1p(-p) if p < 1.0 else -math.inf
+    row_ends = np.cumsum(np.arange(n - 1, 0, -1, dtype=np.int64))
+    shift = n - row_ends
     picks = []
     cur = -1
     while True:
@@ -303,19 +309,19 @@ def _er_edge_list(n: int, p: float,
         idx += cur
         # Skips are >= 1, so idx increases and the pairs in range lead it.
         take = idx[:np.searchsorted(idx, n_pairs)]
-        picks.append(take)
-        if len(take) < len(idx):
-            break
+        # ``take`` is a view of ``idx``: read both before the shift.
+        done = len(take) < len(idx)
         cur = int(idx[-1])
-    lin = np.concatenate(picks)
-    del picks, take, idx
-    row_ends = np.cumsum(np.arange(n - 1, 0, -1, dtype=np.int64))
-    counts = np.diff(np.searchsorted(lin, row_ends), prepend=0)
-    rows = np.repeat(np.arange(n - 1, dtype=np.int64), counts)
-    shift = n - row_ends
-    for first in range(0, len(lin), _DRAWS):
-        lin[first:first + _DRAWS] += shift.take(rows[first:first + _DRAWS])
-    return rows, lin
+        if len(take):
+            row, last = np.searchsorted(row_ends, take[[0, -1]], side="right")
+            chunk = np.diff(np.searchsorted(take, row_ends[row:last + 1]),
+                            prepend=0)
+            counts[row:last + 1] += chunk
+            take += np.repeat(shift[row:last + 1], chunk)
+        picks.append(take.astype(np.int32))
+        if done:
+            break
+    return counts, np.concatenate(picks)
 
 
 def unique_sorted(values: np.ndarray) -> np.ndarray:
@@ -331,9 +337,13 @@ def _configuration_edges(degrees: np.ndarray,
                          ) -> tuple[np.ndarray, np.ndarray]:
     """Stub matching followed by self-loop and multi-edge cleanup.
 
+    Returns the edges as ``_er_edge_list`` does: per-row counts of upper
+    neighbours (int64, length n) and their columns (int32) in CSR order.
     Each pair (lo, hi) is keyed as ``lo * n + hi``; since hi < n, the
     keys sort in (lo, hi) order, and repeats are dropped after the sort.
-    Each stub-sized temporary is freed after its last use.
+    Row r's keys lie below ``(r + 1) * n``, so one search of the sorted
+    keys gives the counts. Each stub-sized temporary is freed after its
+    last use.
     """
     n = len(degrees)
     stubs = np.repeat(np.arange(n, dtype=np.int64), degrees)
@@ -348,39 +358,46 @@ def _configuration_edges(degrees: np.ndarray,
     keys += a
     del a
     keys.sort()
-    return np.divmod(unique_sorted(keys), n)
+    keys = unique_sorted(keys)
+    counts = np.diff(np.searchsorted(keys, np.arange(1, n + 1) * n),
+                     prepend=0)
+    np.remainder(keys, n, out=keys)
+    return counts, keys.astype(np.int32)
 
 
-def _symmetric_csr(rows: np.ndarray, cols: np.ndarray,
+def _symmetric_csr(counts: np.ndarray, cols: np.ndarray,
                    n: int) -> tuple[np.ndarray, np.ndarray]:
     """CSR ``indptr`` and ``indices`` of the undirected graph on n nodes.
 
-    Takes each edge once as int64 (rows[k], cols[k]) with rows[k] <
-    cols[k], sorted by row and then column: the upper triangle in CSR
-    order. Row i lists its lower neighbours (the rows of the edges whose
-    column is i) and then its upper ones, so its indices increase, as in
-    the tests' oracle, scipy's CSR of the symmetric matrix, entry for
-    entry and in int32.
+    Takes each edge once, as the samplers return it: row i's count of
+    upper neighbours ``counts[i]`` and the int32 ``cols`` of all rows'
+    upper neighbours, row by row and increasing within a row (the upper
+    triangle in CSR order). Row i lists its lower neighbours (the rows of
+    the edges whose column is i) and then its upper ones, so its indices
+    increase, as in the tests' oracle, scipy's CSR of the symmetric
+    matrix, entry for entry and in int32.
     Read in order, the lower blocks are the rows sorted by column: one
     sort of the keys ``cols << 32 | rows``, whose int32 cast is the row.
-    The upper blocks are ``cols`` as given, so a mask of the lower slots
-    places both without an index array. MAX_STUBS keeps node ids and
-    entry counts far below 2**31.
+    The keys start as the rows, from the counts, and take their columns
+    one ``_DRAWS`` block at a time. The upper blocks are ``cols`` as
+    given, so a mask of the lower slots places both without an index
+    array. MAX_STUBS keeps node ids and entry counts far below 2**31.
     """
-    upper_counts = np.bincount(rows, minlength=n)
     lower_counts = np.bincount(cols, minlength=n)
-    keys = cols << 32
-    keys |= rows
+    keys = np.repeat(np.arange(n, dtype=np.int64), counts)
+    for first in range(0, len(cols), _DRAWS):
+        keys[first:first + _DRAWS] |= (
+            cols[first:first + _DRAWS].astype(np.int64) << 32)
     keys.sort()
     lower = np.repeat(np.tile([True, False], n),
-                      np.stack([lower_counts, upper_counts], axis=1).ravel())
+                      np.stack([lower_counts, counts], axis=1).ravel())
     indices = np.empty(2 * len(cols), dtype=np.int32)
     indices[lower] = keys
     del keys
     np.logical_not(lower, out=lower)
     indices[lower] = cols
     indptr = np.zeros(n + 1, dtype=np.int32)
-    np.cumsum(upper_counts + lower_counts, out=indptr[1:])
+    np.cumsum(counts + lower_counts, out=indptr[1:])
     return indptr, indices
 
 
@@ -393,9 +410,10 @@ def sample_graph(dist: DegreeDistribution, n_total: int, seed: int) -> SampledGr
     sequence (total degree adjusted to even parity), with self-loops and
     parallel edges removed afterwards.
 
-    Both samplers return each edge once as (i, j) with i < j, sorted by
-    row and then column, which is the upper triangle in CSR order, and
-    ``_symmetric_csr`` builds the graph's CSR arrays from it in numpy.
+    Both samplers return the upper triangle in CSR order, each edge (i, j)
+    with i < j once: the count of each row's upper neighbours and their
+    int32 columns, with no row array. ``_symmetric_csr`` builds the
+    graph's CSR arrays from them in numpy.
     They equal the ``indptr`` and ``indices`` of scipy's COO route, a
     test oracle, dtypes included.
 
@@ -419,7 +437,7 @@ def sample_graph(dist: DegreeDistribution, n_total: int, seed: int) -> SampledGr
                 f"> {MAX_STUBS}"
             )
         p = kbar / (n_total - 1)
-        rows, cols = _er_edge_list(n_total, p, rng)
+        counts, cols = _er_edge_list(n_total, p, rng)
     elif isinstance(dist, PowerLaw):
         raw = sample_powerlaw_degrees(dist, n_total, rng)
         if float(raw.max()) >= n_total:
@@ -439,11 +457,11 @@ def sample_graph(dist: DegreeDistribution, n_total: int, seed: int) -> SampledGr
             if degrees[bump] >= n_total:
                 degrees[bump] -= 2
         target = degrees
-        rows, cols = _configuration_edges(degrees, rng)
+        counts, cols = _configuration_edges(degrees, rng)
     else:
         raise TypeError(f"unsupported distribution type: {type(dist)!r}")
 
-    indptr, indices = _symmetric_csr(rows, cols, n_total)
+    indptr, indices = _symmetric_csr(counts, cols, n_total)
     return SampledGraph(n_nodes=n_total, indptr=indptr, indices=indices,
                         seed=seed, target_degrees=target)
 

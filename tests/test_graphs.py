@@ -54,6 +54,17 @@ def graph_from_edges(n, edges):
                         seed=0)
 
 
+def expand_edges(sampled, n):
+    """A sampler's (counts, cols), checked to be int64 per-row counts of
+    length n and int32 columns, as the int64 (rows, cols) that the frozen
+    oracles take."""
+    counts, cols = sampled
+    assert counts.dtype == np.int64 and counts.shape == (n,)
+    assert cols.dtype == np.int32 and len(cols) == counts.sum()
+    return (np.repeat(np.arange(n, dtype=np.int64), counts),
+            cols.astype(np.int64))
+
+
 def assert_same_csr(graph, reference):
     """The graph's own CSR arrays equal the reference matrix's, dtypes
     included."""
@@ -355,17 +366,18 @@ class TestSampleGraph:
             monkeypatch.setattr(graphs_module, name, recording)
         for seed in seeds:
             graph = sample_graph(dist, n_total, seed)
-            rows, cols = drawn.pop()
+            rows, cols = expand_edges(drawn.pop(), n_total)
             assert graph.n_edges == len(rows)
             assert_same_csr(graph, reference_adjacency(rows, cols, n_total))
 
     def test_edgeless_adjacency_matches_frozen_coo_route(self, monkeypatch):
-        empty = np.empty(0, dtype=np.int64)
         monkeypatch.setattr(graphs_module, "_er_edge_list",
-                            lambda n, p, rng: (empty, empty))
+                            lambda n, p, rng: (np.zeros(n, dtype=np.int64),
+                                               np.empty(0, dtype=np.int32)))
         graph = sample_graph(RandomGaussian(n_total=50, avg_path_length=3.0),
                              50, seed=0)
         assert graph.n_edges == 0
+        empty = np.empty(0, dtype=np.int64)
         assert_same_csr(graph, reference_adjacency(empty, empty, 50))
 
     @pytest.mark.parametrize("dist,n_total", [
@@ -397,10 +409,12 @@ class TestSampleGraph:
         assert shuffled.edge_array().tobytes() == reference.tobytes()
 
     def test_sampling_peaks_near_what_the_adjacency_holds(self):
-        # Measured 1.43x the bytes of the scipy adjacency on the
-        # criterion-5 shape since the CSR arrays are built in numpy, 2.01x
-        # by scipy's ``upper + upper.T`` and 2.68x while the int64 edge
-        # lists lived to the end; 2.2 was ~10% slack over 2.01x.
+        """Sampling the criterion-5 shape peaks at 0.937x the bytes of its
+        scipy adjacency (0.9366-0.9371x over seeds 0-5) since the samplers
+        hand the CSR build per-row counts and int32 columns; 1.03 is ~10%
+        slack over 0.937x. It read 1.43x while they handed it int64 edge
+        lists, 2.01x by scipy's ``upper + upper.T`` and 2.68x while the
+        int64 edge lists lived to the end."""
         dist = RandomGaussian(n_total=10**4, avg_path_length=2.5)
         sample_graph(dist, 100, seed=0)  # warm up before tracing
         tracemalloc.start()
@@ -412,14 +426,15 @@ class TestSampleGraph:
         adjacency = as_csr_matrix(graph)
         held = sum(getattr(adjacency, name).nbytes
                    for name in ("data", "indices", "indptr"))
-        assert peak < 2.2 * held
+        assert peak < 1.03 * held
 
     def test_configuration_sampling_peaks_near_what_the_adjacency_holds(self):
         """The stub-sized temporaries are freed after their last use, so
         sampling PowerLaw(2.5, k_min=20) on 10^4 nodes peaks at 1.46-1.51x
-        the bytes of its scipy adjacency (seeds 0-3), the unit the G(n, p)
-        test above uses; 2.49-2.56x while they all lived to the end. 1.65
-        is ~10% slack."""
+        the bytes of its scipy adjacency (seeds 0-3; 1.44-1.51x over seeds
+        0-5 once the samplers returned int32 columns, since the peak is the
+        stub matching's), the unit the G(n, p) test above uses; 2.49-2.56x
+        while they all lived to the end. 1.65 is ~10% slack."""
         dist = PowerLaw(alpha=2.5, k_min=20.0)
         sample_graph(PowerLaw(alpha=2.5, k_min=2.0), 100, seed=0)  # warm up
         tracemalloc.start()
@@ -442,7 +457,8 @@ class TestSampleGraph:
         graph, edges, _ = drawn
         n = graph.n_nodes
         rows, cols = np.array(edges, dtype=np.int64).reshape(-1, 2).T
-        indptr, indices = _symmetric_csr(rows, cols, n)
+        indptr, indices = _symmetric_csr(np.bincount(rows, minlength=n),
+                                         cols.astype(np.int32), n)
         assert_same_csr(SampledGraph(n, indptr, indices, seed=0),
                         reference_adjacency(rows, cols, n))
 
@@ -538,23 +554,26 @@ class TestEdgeSamplersMatchFrozen:
            st.floats(1e-9, 1.0, exclude_max=True),
            st.integers(0, 2**63))
     def test_er_edge_list(self, n, p, seed):
-        assert_same_edges(_er_edge_list(n, p, np.random.default_rng(seed)),
+        assert_same_edges(expand_edges(
+                              _er_edge_list(n, p, np.random.default_rng(seed)),
+                              n),
                           reference_er_edge_list(
                               n, p, np.random.default_rng(seed)))
 
     def test_er_edge_list_carries_the_pair_index_across_chunks(self):
         library, frozen = NearOneDraws(3), NearOneDraws(3)
-        rows, cols = _er_edge_list(400, 0.0005, library)
+        edges = expand_edges(_er_edge_list(400, 0.0005, library), 400)
         assert library.calls > 10
-        assert_same_edges((rows, cols),
+        assert_same_edges(edges,
                           reference_er_edge_list(400, 0.0005, frozen))
         assert library.calls == frozen.calls
 
     @pytest.mark.parametrize("n", [2, 3, 50])
     def test_p_one_takes_every_pair(self, n):
         # The frozen sampler fails here in math.log1p(-1).
-        rows, cols = _er_edge_list(n, 1.0, np.random.default_rng(0))
-        assert_same_edges((rows, cols),
+        edges = expand_edges(_er_edge_list(n, 1.0, np.random.default_rng(0)),
+                             n)
+        assert_same_edges(edges,
                           tuple(a.astype(np.int64)
                                 for a in np.triu_indices(n, 1)))
 
@@ -567,18 +586,58 @@ class TestEdgeSamplersMatchFrozen:
         if degrees.sum() % 2:
             degrees[np.argmax(degrees)] -= 1
         assert_same_edges(
-            _configuration_edges(degrees, np.random.default_rng(seed)),
+            expand_edges(_configuration_edges(degrees,
+                                              np.random.default_rng(seed)),
+                         len(degrees)),
             reference_configuration_edges(degrees,
                                           np.random.default_rng(seed)))
 
     @pytest.mark.parametrize("n,p", [(2000, 0.05), (700, 0.9)])
     def test_er_edge_list_past_the_chunk_cap(self, n, p):
-        # Over 2**16 edges: several capped chunks of draws, and the column
-        # shift in more than one block.
-        rows, cols = _er_edge_list(n, p, np.random.default_rng(5))
+        # Over 2**16 edges: several capped chunks of draws, each counted and
+        # shifted on its own.
+        rows, cols = expand_edges(_er_edge_list(n, p, np.random.default_rng(5)),
+                                  n)
         assert len(rows) > 2**16
         assert_same_edges((rows, cols), reference_er_edge_list(
             n, p, np.random.default_rng(5)))
+
+
+class TestRowsSpanChunks:
+    """``_DRAWS`` cut to a few pairs, so that one row's pairs span three
+    or more chunks of draws (and of the CSR build's key blocks), and some
+    chunks end exactly at a row's end. The sampler's counts and columns
+    and the CSR built from them still equal the frozen routes'."""
+
+    @staticmethod
+    def assert_matches_frozen(n, p, seed, draws):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(graphs_module, "_DRAWS", draws)
+            sampled = _er_edge_list(n, p, np.random.default_rng(seed))
+            indptr, indices = _symmetric_csr(*sampled, n)
+        if p == 1.0:  # the frozen sampler fails in math.log1p(-1)
+            want = tuple(a.astype(np.int64) for a in np.triu_indices(n, 1))
+        else:
+            want = reference_er_edge_list(n, p, np.random.default_rng(seed))
+        assert_same_edges(expand_edges(sampled, n), want)
+        assert_same_csr(SampledGraph(n, indptr, indices, seed=0),
+                        reference_adjacency(*want, n))
+
+    @pytest.mark.parametrize("n,draws", [
+        (17, 16),   # row 0's 16 pairs fill chunk 0 exactly
+        (60, 16),   # row 0's 59 pairs span four chunks
+        (129, 64),  # row 0's 128 pairs fill two chunks exactly
+        (2, 16),    # one pair
+    ])
+    def test_every_pair_at_p_one(self, n, draws):
+        self.assert_matches_frozen(n, 1.0, 0, draws)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(2, 300), st.floats(1e-3, 1.0), st.integers(0, 2**63),
+           st.sampled_from([16, 64, 1000]))
+    @example(300, 0.9, 0, 16)
+    def test_drawn_graphs(self, n, p, seed, draws):
+        self.assert_matches_frozen(n, p, seed, draws)
 
 
 def renumbered_path(n):
