@@ -176,8 +176,8 @@ def _pool_frequencies(args) -> list[float]:
         raise ConfigError("give --f, or both --f-min and --f-max")
     if args.f_min <= 0 or args.f_max < args.f_min:
         raise ConfigError("need 0 < f-min <= f-max")
-    return list(np.logspace(np.log10(args.f_min), np.log10(args.f_max),
-                            args.points))
+    return np.logspace(np.log10(args.f_min), np.log10(args.f_max),
+                       args.points).tolist()
 
 
 def cmd_pool(args) -> int:

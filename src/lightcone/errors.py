@@ -6,7 +6,8 @@ Every number a public constructor or formula takes goes through
 reject bools, non-numbers, NaN and infinity with a ValueError that names
 the input, and never convert, so a checked value keeps its type and all
 arithmetic on it stays as it was. The config reader turns that error into
-a ConfigError naming ``section.key``; the CLI turns either into exit 2.
+a ConfigError naming ``section.key``; the CLI turns either into exit 2,
+as it does ``finite_result``'s error for a result past the float range.
 """
 from __future__ import annotations
 
@@ -60,6 +61,21 @@ def check_integer(name: str, value, *, ge=None, le=None):
             or not _within(value, None, ge, None, le)):
         raise ValueError(f"{name} must be an integer"
                          f"{_bounds(None, ge, None, le)}, got {value!r}")
+    return value
+
+
+def finite_result(what: str, formula, **inputs) -> float:
+    """``formula()`` if finite, else a ValueError naming ``what`` and the
+    ``inputs``: past the float range a float ``**`` raises OverflowError,
+    a product gives inf, and a divisor that underflows raises
+    ZeroDivisionError."""
+    try:
+        value = formula()
+    except (OverflowError, ZeroDivisionError):
+        value = math.inf
+    if not _is_finite(value):
+        named = ", ".join(f"{key}={arg!r}" for key, arg in inputs.items())
+        raise ValueError(f"{what} exceeds the float range at {named}")
     return value
 
 

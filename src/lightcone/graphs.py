@@ -16,12 +16,13 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Union
+from typing import Union
 
 import numpy as np
 
 from .constants import EULER_GAMMA
-from .errors import DisconnectedGraphError, check_integer, check_number
+from .errors import (DisconnectedGraphError, check_integer, check_number,
+                     finite_result)
 
 __all__ = [
     "RandomGaussian",
@@ -205,8 +206,12 @@ def path_length_random(n_total: float, avg_degree: float) -> float:
 
 
 def _natural_cutoff(dist: PowerLaw, n_total: float) -> float:
-    """k_min * n**(1/(alpha-1)), the degree expected once among n nodes."""
-    return dist.k_min * float(n_total) ** (1.0 / (dist.alpha - 1.0))
+    """k_min * n**(1/(alpha-1)), the degree expected once among n nodes;
+    inf past the float range, which an explicit k_max still lies below."""
+    try:
+        return dist.k_min * float(n_total) ** (1.0 / (dist.alpha - 1.0))
+    except OverflowError:
+        return math.inf
 
 
 def powerlaw_cutoff(dist: PowerLaw, n_total: float) -> float:
@@ -218,7 +223,9 @@ def powerlaw_cutoff(dist: PowerLaw, n_total: float) -> float:
     check_number("n_total", n_total, ge=2)
     if dist.k_max is not None:
         return float(dist.k_max)
-    return _natural_cutoff(dist, n_total)
+    return finite_result("natural cutoff k_min * n_total**(1/(alpha-1))",
+                         lambda: _natural_cutoff(dist, n_total),
+                         alpha=dist.alpha, k_min=dist.k_min, n_total=n_total)
 
 
 def powerlaw_mean_degree(dist: PowerLaw, n_total: float) -> float:
@@ -466,27 +473,6 @@ def sample_graph(dist: DegreeDistribution, n_total: int, seed: int) -> SampledGr
                         seed=seed, target_degrees=target)
 
 
-class _SearchCSR(NamedTuple):
-    """A graph's CSR as the component labelling and the BFS read it.
-
-    ``indices`` are the graph's own, in int32. ``rows`` are the non-empty
-    rows and ``starts`` where each begins: ``reduceat`` gives an empty
-    segment a stray element and rejects a trailing one that starts at
-    nnz, so reductions over every row run over these.
-    """
-
-    indptr: np.ndarray
-    indices: np.ndarray
-    rows: np.ndarray
-    starts: np.ndarray
-
-
-def _search_csr(graph: SampledGraph) -> _SearchCSR:
-    indptr = graph.indptr
-    rows = np.flatnonzero(np.diff(indptr))
-    return _SearchCSR(indptr, graph.indices, rows, indptr[rows])
-
-
 def _reduce_segments(ufunc: np.ufunc, values: np.ndarray, edges: np.ndarray,
                      segments: np.ndarray) -> np.ndarray:
     """``ufunc`` over ``values.take(edges)`` from each segment start to
@@ -497,27 +483,29 @@ def _reduce_segments(ufunc: np.ufunc, values: np.ndarray, edges: np.ndarray,
 
 
 def _reduce_rows(ufunc: np.ufunc, values: np.ndarray,
-                 csr: _SearchCSR) -> np.ndarray:
+                 graph: SampledGraph) -> tuple[np.ndarray, np.ndarray]:
     """``_reduce_segments`` over every non-empty row's neighbours.
 
-    The result has one column per entry of ``csr.rows``. The entries are
-    read ``_BLOCK`` rows at a time, each block's indices converted to
-    intp, so no temporary grows with the edge count.
+    Returns the non-empty rows and one result column per row, since
+    ``reduceat`` gives an empty row a stray element. The entries are read
+    ``_BLOCK`` rows at a time, each block's indices converted to intp, so
+    no temporary grows with the edge count.
     """
-    indptr, rows, starts = csr.indptr, csr.rows, csr.starts
+    indptr = graph.indptr
+    rows = np.flatnonzero(np.diff(indptr))
     out = np.empty((len(values), len(rows)), dtype=values.dtype)
     for first in range(0, len(rows), _BLOCK):
-        segments = starts[first:first + _BLOCK]
+        segments = indptr[rows[first:first + _BLOCK]]
         last = first + len(segments)
-        edges = csr.indices[segments[0]:indptr[rows[last - 1] + 1]]
+        edges = graph.indices[segments[0]:indptr[rows[last - 1] + 1]]
         out[:, first:last] = _reduce_segments(ufunc, values,
                                               edges.astype(np.intp),
                                               segments - segments[0])
-    return out
+    return rows, out
 
 
-def _components(csr: _SearchCSR) -> np.ndarray:
-    """Component label of each node of an undirected graph's CSR.
+def _components(graph: SampledGraph) -> np.ndarray:
+    """Component label of each node of an undirected graph.
 
     Hook and shortcut (Shiloach & Vishkin 1982, in the simplified form of
     FastSV, Zhang, Azad & Hu 2020), over whole arrays. Every node points
@@ -533,12 +521,11 @@ def _components(csr: _SearchCSR) -> np.ndarray:
     0..c-1, one per component, so the partition is the one scipy's
     ``connected_components`` finds (a tests-only oracle here).
     """
-    n = len(csr.indptr) - 1
-    rows = csr.rows
+    n = graph.n_nodes
     # int32 pointers halve the gathers.
     parent = np.arange(n, dtype=np.int32 if n <= 2**31 else np.intp)
-    while len(rows):
-        low = _reduce_rows(np.minimum, parent[None], csr)[0]
+    while True:
+        rows, (low,) = _reduce_rows(np.minimum, parent[None], graph)
         new = parent.copy()
         np.minimum.at(new, parent.take(rows), low)
         new[rows] = np.minimum(new.take(rows), low)
@@ -553,7 +540,7 @@ def _components(csr: _SearchCSR) -> np.ndarray:
     return np.cumsum(parent == np.arange(n)).take(parent) - 1
 
 
-def _bfs_distance_sums(csr: _SearchCSR, sources: np.ndarray,
+def _bfs_distance_sums(graph: SampledGraph, sources: np.ndarray,
                        labels: np.ndarray) -> np.ndarray:
     """Sum of hop distances from each source to every node it reaches.
 
@@ -574,9 +561,9 @@ def _bfs_distance_sums(csr: _SearchCSR, sources: np.ndarray,
     (source, node) pairs whichever direction runs, and the int64 sums are
     exact. The graph must be undirected (each edge in both rows).
     """
-    indptr, indices = csr.indptr, csr.indices
-    n = len(indptr) - 1
-    degree = np.diff(indptr)
+    indices = graph.indices
+    n = graph.n_nodes
+    degree = np.diff(graph.indptr)
     sums = np.zeros(len(sources), dtype=np.int64)
     chunk = 256
     for first in range(0, len(sources), chunk):
@@ -604,7 +591,7 @@ def _bfs_distance_sums(csr: _SearchCSR, sources: np.ndarray,
             pull_cost = min(restricted_cost, len(indices))
             front_lengths = degree.take(front_nodes)
             if _PUSH_COST * int(front_lengths.sum()) < pull_cost:
-                new_nodes, edges, segments = _push_edges(csr, front_nodes,
+                new_nodes, edges, segments = _push_edges(graph, front_nodes,
                                                          front_lengths)
                 new = _reduce_segments(np.bitwise_or, front, edges, segments)
             else:
@@ -612,13 +599,13 @@ def _bfs_distance_sums(csr: _SearchCSR, sources: np.ndarray,
                 for row, f in zip(words, front):
                     row[front_nodes] = f
                 if restricted_cost >= len(indices):
-                    new_nodes = csr.rows
-                    new = _reduce_rows(np.bitwise_or, words, csr)
+                    new_nodes, new = _reduce_rows(np.bitwise_or, words,
+                                                  graph)
                 else:
                     # Nodes that lack a bit have a neighbour: their
                     # component holds a source other than themselves.
                     new_nodes = needy
-                    edges, segments = _row_entries(csr, needy, lengths)
+                    edges, segments = _row_entries(graph, needy, lengths)
                     new = _reduce_segments(np.bitwise_or, words, edges,
                                            segments)
             new &= lacking.take(new_nodes, axis=1)
@@ -631,19 +618,19 @@ def _bfs_distance_sums(csr: _SearchCSR, sources: np.ndarray,
     return sums
 
 
-def _row_entries(csr: _SearchCSR, nodes: np.ndarray,
+def _row_entries(graph: SampledGraph, nodes: np.ndarray,
                  lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The CSR entries of ``nodes``, whose degrees are ``lengths``, one
     node after another, in intp, and where each node's run starts."""
     ends = np.cumsum(lengths)
     segments = ends - lengths
-    entries = np.repeat(csr.indptr[nodes] - segments, lengths)
+    entries = np.repeat(graph.indptr[nodes] - segments, lengths)
     entries += np.arange(ends[-1])
-    entries[:] = csr.indices.take(entries)  # entry ids become neighbours
+    entries[:] = graph.indices.take(entries)  # entry ids become neighbours
     return entries, segments
 
 
-def _push_edges(csr: _SearchCSR, front_nodes: np.ndarray,
+def _push_edges(graph: SampledGraph, front_nodes: np.ndarray,
                 lengths: np.ndarray
                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The frontier's edges grouped by their far end, for a push level.
@@ -654,7 +641,7 @@ def _push_edges(csr: _SearchCSR, front_nodes: np.ndarray,
     each node's group starts. One argsort groups the edges; the order
     within a group is arbitrary, and the OR over it does not depend on it.
     """
-    targets, _ = _row_entries(csr, front_nodes, lengths)
+    targets, _ = _row_entries(graph, front_nodes, lengths)
     order = np.argsort(targets)
     targets = targets.take(order)
     segments = np.flatnonzero(np.diff(targets, prepend=-1))
@@ -715,8 +702,7 @@ def measure_avg_path_length(graph: SampledGraph,
     n = graph.n_nodes
     if n < 2:
         raise DisconnectedGraphError(0.0, [n] if n else [])
-    csr = _search_csr(graph)
-    labels = _components(csr)
+    labels = _components(graph)
     counts = np.bincount(labels)
     giant = int(np.argmax(counts))
     size = int(counts[giant])
@@ -740,7 +726,7 @@ def measure_avg_path_length(graph: SampledGraph,
         exact = len(sources) == size
 
     # Every target in the component is reachable; the source adds 0.
-    per_source = _bfs_distance_sums(csr, sources, labels) / (size - 1)
+    per_source = _bfs_distance_sums(graph, sources, labels) / (size - 1)
     mean = float(per_source.mean())
     stderr = None
     if not exact:

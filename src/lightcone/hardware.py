@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 from .constants import PLANCK, SPEED_OF_LIGHT
-from .errors import check_number
+from .errors import check_number, finite_result
 from .graphs import PowerLaw, RandomGaussian, avg_degree_random, powerlaw_mean_degree
 
 __all__ = [
@@ -100,7 +100,9 @@ def photon_energy(wavelength: float) -> float:
 def wafer_area(diameter: float) -> float:
     """Usable area of a circular wafer, pi*(D/2)**2."""
     check_number("diameter", diameter, gt=0.0)
-    return math.pi * (0.5 * diameter) ** 2
+    return finite_result("wafer area pi*(diameter/2)**2",
+                         lambda: math.pi * (0.5 * diameter) ** 2,
+                         diameter=diameter)
 
 
 def element_width_from_area(area: float, n_elements: float) -> float:

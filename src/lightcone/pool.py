@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .constants import VELOCITY_CEILING
-from .errors import check_integer, check_number
+from .errors import check_integer, check_number, finite_result
 
 __all__ = [
     "Platform",
@@ -93,7 +93,10 @@ def pool_population(platform: Platform, query: PoolQuery) -> float:
     population == (diameter/width)**n holds bit-exactly.
     """
     d = pool_diameter(platform, query.frequency)
-    return (d / platform.element_width) ** query.dimension
+    return finite_result(
+        "pool population (diameter/element_width)**dimension",
+        lambda: (d / platform.element_width) ** query.dimension,
+        platform=platform, query=query)
 
 
 def pool_area(platform: Platform, frequency: float) -> float:
@@ -116,10 +119,12 @@ def pool_ratio(photonic: Platform, biological: Platform,
             f"element_kind mismatch: {photonic.element_kind!r} vs "
             f"{biological.element_kind!r}"
         )
-    base = (photonic.signal_velocity * biological.element_width) / (
-        photonic.element_width * biological.signal_velocity
-    )
-    return base ** dimension
+    return finite_result(
+        "pool ratio (v_a*w_b/(w_a*v_b))**dimension",
+        lambda: ((photonic.signal_velocity * biological.element_width)
+                 / (photonic.element_width * biological.signal_velocity)
+                 ) ** dimension,
+        photonic=photonic, biological=biological, dimension=dimension)
 
 
 def max_frequency(platform: Platform, extent: float) -> float:

@@ -33,20 +33,20 @@ equal arrivals, so pops come in exactly the order of one entry per
 delivery. Each pop advances the cursor in place. One case needs care:
 distinct delays a < b of one source may round to one arrival time,
 t + a == t + b, where position, not delay, decides. A source whose
-sorted delays hold such a pair (closer than one ulp of duration + the
-longest delay) in reverse position order is flagged at setup and keeps
-its ranks; its fires order their deliveries by (t + delay, rank).
-Uncoupled runs schedule no deliveries and build no delays.
+sorted lane holds such a pair (closer than one ulp of duration + the
+longest delay) in reverse position order has a neighbouring pair that
+does too, so one mask over neighbouring delays flags it at setup; it
+keeps its ranks, and its fires order their deliveries by (t + delay,
+rank). Uncoupled runs schedule no deliveries and build no delays.
 
 Events are counted when they are scheduled, not when they pop. Only an
 entry whose time is within the duration is pushed, and each counts as
 one event. A fire's cursor ends before its first arrival past the
-duration: bisecting the lane's delays on duration - t lands within a
-few steps of it, and steps on t + delay <= duration, the heap key's own
-expression, find it exactly. The fire counts every delivery before that
-end. Every entry within the duration would pop, so n_events is the
-number of pops of one entry per delivery, and the budget raises in the
-same runs.
+duration: the rounded t + delay, the heap key's own expression, is
+monotone in the delay, so bisecting the lane on it finds that arrival
+exactly. The fire counts every delivery before that end. Every entry
+within the duration would pop, so n_events is the number of pops of one
+entry per delivery, and the budget raises in the same runs.
 
 Most deliveries land in the target's refractory window and change
 nothing. When node j fires at t it stores ready[j] =
@@ -272,18 +272,6 @@ def _neighbour_lists(config: SimConfig) -> tuple[np.ndarray, np.ndarray]:
     return np.arange(n + 1) * (n - 1), indices.ravel()
 
 
-def _has_rounding_tie(delays: list[float], ranks: list[int],
-                      tol: float) -> bool:
-    """Whether two distinct sorted delays within ``tol`` are out of rank order."""
-    for a in range(len(delays)):
-        b = a + 1
-        while b < len(delays) and delays[b] - delays[a] <= tol:
-            if delays[b] != delays[a] and ranks[b] < ranks[a]:
-                return True
-            b += 1
-    return False
-
-
 def _lanes(config: SimConfig) -> tuple[list[tuple], dict[int, list[int]]]:
     """Each source's deliveries in (delay, neighbour position) order.
 
@@ -291,7 +279,8 @@ def _lanes(config: SimConfig) -> tuple[list[tuple], dict[int, list[int]]]:
     a sentinel (delay inf, target n), each delay computed from the edge's
     two endpoints, so no N x N matrix is built. A source is *tied* when
     two of its distinct delays could round to one arrival time out of
-    neighbour-position order. Only tied sources keep ranks (their CSR
+    neighbour-position order, which one mask over the neighbouring pairs
+    of all sorted lanes finds. Only tied sources keep ranks (their CSR
     edge indices, which order like the positions), and their fires
     re-sort the lane by arrival time. The edge-sized arrays are freed
     before the lists are built, so the peak stays close to what the
@@ -321,18 +310,19 @@ def _lanes(config: SimConfig) -> tuple[list[tuple], dict[int, list[int]]]:
     # Every popped arrival is at most duration + the longest delay, so two
     # delays farther apart than one ulp there never round to one time.
     tol = math.ulp(config.duration + float(sorted_delays.max(initial=0.0)))
+    # A source is tied when two distinct delays within tol in its lane lie
+    # out of rank order. Then a neighbouring pair between them does: the
+    # stable sort keeps equal delays in rank order, so the ranks fall at a
+    # nonzero gap, and rounded subtraction is monotone, so that gap is at
+    # most the pair's. Across a lane's end the ranks (CSR edge indices)
+    # rise, so a flagged pair lies inside one lane.
     gaps = np.diff(sorted_delays)
-    close = np.flatnonzero((gaps > 0.0) & (gaps <= tol))
+    swapped = np.flatnonzero((gaps > 0.0) & (gaps <= tol)
+                             & (order[1:] < order[:-1]))
     del gaps
-    # Gap g lies inside source i's lane when edge g + 1 is also i's. The
-    # gaps increase, so their owners never decrease.
-    owner = np.searchsorted(indptr, close, side="right") - 1
-    tied = {}
-    for i in unique_sorted(owner[close + 1 < indptr[owner + 1]]).tolist():
-        a, b = bounds[i]
-        ranks = order[a:b].tolist()
-        if _has_rounding_tie(sorted_delays[a:b].tolist(), ranks, tol):
-            tied[i] = ranks
+    owners = np.searchsorted(indptr, swapped, side="right") - 1
+    tied = {i: order[bounds[i][0]:bounds[i][1]].tolist()
+            for i in unique_sorted(owners).tolist()}
     del order
     # Each lane ends in a sentinel delivery, delay inf to slot n, past
     # which no scan steps: lane i spans [a + i, b + i] here.
@@ -471,14 +461,11 @@ def run(config: SimConfig) -> SpikeTrace:
             delays, targets, fan = (_arrival_order(lanes[i], tied[i], t)
                                     if i in tied else lanes[i])
             # The cursor stops at the first arrival after the duration.
-            # Bisecting on the delay lands within a few steps of it.
+            # The rounded t + delay is monotone in the delay, so bisecting
+            # on it finds that arrival exactly.
             end = fan
             if t + delays[fan - 1] > duration:
-                end = bisect_right(delays, duration - t, 0, fan)
-                while end and t + delays[end - 1] > duration:
-                    end -= 1
-                while end < fan and t + delays[end] <= duration:
-                    end += 1
+                end = bisect_right(delays, duration, 0, fan, key=t.__add__)
             if end:
                 events += end
                 k = 0

@@ -251,6 +251,27 @@ def test_non_finite_or_fractional_number_is_usage_error(args):
 
 
 @pytest.mark.parametrize("args", [
+    ("degree", "--powerlaw", "--alpha", "1.01", "--n-max", "1e8"),
+    ("power", "--n-total", "1e8", "--alpha", "1.01"),
+    ("pool", "--w", "1e-200", "--f", "1", "--n", "3"),
+    ("pool", "--w", "1e-200", "--f-min", "1", "--f-max", "2", "--n", "3"),
+    ("power", "--n-total", "10", "--config", "{config}"),
+])
+def test_result_past_the_float_range_is_usage_error(tmp_path: Path, args):
+    config_path = tmp_path / "wafer.json"
+    config_path.write_text(json.dumps(
+        {"schema_version": 1, "hardware": {"wafer_diameter_m": 1e200}}))
+    result = run_cli(*[a.format(config=config_path) for a in args])
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert "Traceback" not in result.stderr
+    # One error line and nothing else, such as a numpy overflow warning.
+    errors = result.stderr.splitlines()
+    assert len(errors) == 1 and errors[0].startswith("error: ")
+    assert "exceeds the float range" in errors[0]
+
+
+@pytest.mark.parametrize("args", [
     ("degree", "--random", "--seed", "1"),
     ("pool", "--f", "6", "--config", "x.json"),
     ("sweep", "--seed", "1"),

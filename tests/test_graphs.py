@@ -30,7 +30,6 @@ from lightcone.graphs import (
     _configuration_edges,
     _er_edge_list,
     _push_edges,
-    _search_csr,
     _symmetric_csr,
 )
 from pathlen_reference import (
@@ -89,8 +88,7 @@ def assert_sums_match_oracles(graph, edges, sources, nx_sources=None):
     """BFS sums equal dijkstra's for every source and networkx's for
     ``nx_sources`` (default: all of them)."""
     sources = np.asarray(sources)
-    csr = _search_csr(graph)
-    sums = _bfs_distance_sums(csr, sources, _components(csr))
+    sums = _bfs_distance_sums(graph, sources, _components(graph))
     assert sums.dtype == np.int64
     np.testing.assert_array_equal(
         sums, reference_distance_sums(as_csr_matrix(graph), sources))
@@ -652,7 +650,7 @@ class TestComponents:
     @given(graphs_with_isolated_nodes())
     def test_partition_matches_scipy_on_drawn_graphs(self, drawn):
         graph = drawn[0]
-        assert_same_partition(_components(_search_csr(graph)),
+        assert_same_partition(_components(graph),
                               as_csr_matrix(graph))
 
     @pytest.mark.parametrize("n,edges", [
@@ -667,7 +665,7 @@ class TestComponents:
             "edgeless", "single-node"])
     def test_partition_matches_scipy_on_extreme_shapes(self, n, edges):
         graph = graph_from_edges(n, edges)
-        assert_same_partition(_components(_search_csr(graph)),
+        assert_same_partition(_components(graph),
                               as_csr_matrix(graph))
 
     @settings(max_examples=150, deadline=None)
@@ -704,7 +702,7 @@ class TestBlockEdges:
         graph = drawn[0]
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(graphs_module, "_BLOCK", block)
-            labels = _components(_search_csr(graph))
+            labels = _components(graph)
         assert_same_partition(labels, as_csr_matrix(graph))
 
     @settings(max_examples=150, deadline=None)
@@ -727,7 +725,7 @@ class TestBlockEdges:
             monkeypatch.setattr(graphs_module, "_BLOCK", block)
         graph, edges = star_beside_empty_rows(graphs_module._BLOCK + 5)
         n = graph.n_nodes
-        assert_same_partition(_components(_search_csr(graph)),
+        assert_same_partition(_components(graph),
                               as_csr_matrix(graph))
         assert_sums_match_oracles(graph, edges, [3, 10, n - 4, 6, 0, n - 1])
 
@@ -761,8 +759,7 @@ class TestMeasureAvgPathLength:
         n = graph.n_nodes
         sources = (np.arange(n) if count == "all"
                    else rng.integers(0, n, size=count))
-        csr = _search_csr(graph)
-        sums = _bfs_distance_sums(csr, sources, _components(csr))
+        sums = _bfs_distance_sums(graph, sources, _components(graph))
         assert sums.dtype == np.int64
         np.testing.assert_array_equal(
             sums, reference_distance_sums(as_csr_matrix(graph), sources))

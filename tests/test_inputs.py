@@ -29,6 +29,7 @@ from lightcone import (
     photon_energy,
     pool_area,
     pool_diameter,
+    pool_population,
     pool_ratio,
     pool_sweep,
     powerlaw_cutoff,
@@ -182,3 +183,40 @@ def test_bad_csr_rejected_by_name(name, n_nodes, indptr, indices):
     with pytest.raises(ValueError) as info:
         SampledGraph(n_nodes, indptr, indices, seed=0)
     assert str(info.value).split(" ")[0] == name
+
+
+CUTOFF_INPUTS = ("alpha", "k_min", "n_total")
+POOL_INPUTS = ("signal_velocity", "element_width", "frequency", "dimension")
+RATIO_INPUTS = ("photonic", "biological", "signal_velocity", "element_width",
+                "dimension")
+TINY_WIDTH = Platform(3.0e8, 1e-200, element_kind="synapse")
+
+# (call, the inputs its message names): finite inputs that carry a
+# formula past the float range.
+OVERFLOW = [
+    (lambda: powerlaw_cutoff(PowerLaw(1.01), 1e8), CUTOFF_INPUTS),
+    (lambda: powerlaw_mean_degree(PowerLaw(1.01), 1e8), CUTOFF_INPUTS),
+    (lambda: powerlaw_max_degree(PowerLaw(1.01), 1e8), CUTOFF_INPUTS),
+    (lambda: network_area(1e8, PowerLaw(1.01), WAFER), CUTOFF_INPUTS),
+    (lambda: wafer_area(1e200), ("diameter",)),
+    (lambda: pool_population(Platform(3.0e8, 1e-200), PoolQuery(1.0, 3)),
+     POOL_INPUTS),
+    (lambda: pool_ratio(TINY_WIDTH, CORTEX), RATIO_INPUTS),
+    # The divisor w_a * v_b underflows to 0.
+    (lambda: pool_ratio(TINY_WIDTH, Platform(1e-200, 1.0, "synapse")),
+     RATIO_INPUTS),
+]
+
+
+@pytest.mark.parametrize("call, names", OVERFLOW,
+                         ids=[f"{i}-{names[0]}" for i, (_, names) in
+                              enumerate(OVERFLOW)])
+def test_result_past_the_float_range_rejected_naming_inputs(call, names):
+    with pytest.raises(ValueError, match="exceeds the float range") as info:
+        call()
+    for name in names:
+        assert f"{name}=" in str(info.value)
+
+
+def test_explicit_k_max_caps_a_natural_cutoff_past_the_float_range():
+    assert powerlaw_max_degree(PowerLaw(1.01, k_max=100.0), 1e8) == 100.0

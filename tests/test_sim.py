@@ -20,7 +20,6 @@ from lightcone import (
 )
 from lightcone.sim import (
     _delays,
-    _has_rounding_tie,
     _lanes,
     _neighbour_lists,
     _order_parameter,
@@ -533,9 +532,23 @@ class TestClusterRegression:
         assert report.locked
 
 
+def _has_rounding_tie(delays: list[float], ranks: list[int],
+                      tol: float) -> bool:
+    """Whether two distinct sorted delays within ``tol`` are out of rank order."""
+    for a in range(len(delays)):
+        b = a + 1
+        while b < len(delays) and delays[b] - delays[a] <= tol:
+            if delays[b] != delays[a] and ranks[b] < ranks[a]:
+                return True
+            b += 1
+    return False
+
+
 def lexsort_lanes(config):
     """Lanes and tied ranks from one ``np.lexsort((delays, rows))``.
 
+    A source is tied by the pairwise rule: ``_has_rounding_tie`` checks
+    every pair of its sorted delays within one ulp, not only neighbours.
     Each lane ends in the engine's sentinel delivery (delay inf, slot n).
     """
     indptr, indices = _neighbour_lists(config)
@@ -553,6 +566,28 @@ def lexsort_lanes(config):
         if _has_rounding_tie(delays[a:b].tolist(), order[a:b].tolist(), tol):
             tied[i] = order[a:b].tolist()
     return lanes, tied
+
+
+# Coordinates whose distances collide or miss by an ulp or two.
+NEAR_TIE = [0.0, 0.1, math.nextafter(0.1, 1.0), -0.1,
+            -math.nextafter(0.1, 1.0), 0.2, math.nextafter(0.2, 0.0), 0.3]
+
+
+@st.composite
+def near_tie_configs(draw):
+    """Small coupled pools placed on scaled near-tie coordinates."""
+    dim = draw(st.integers(1, 3))
+    n = draw(st.integers(2, 10))
+    coords = draw(st.lists(st.sampled_from(NEAR_TIE), min_size=n * dim,
+                           max_size=n * dim))
+    scale = draw(st.sampled_from([1.0, 0.5, 3.0, 0.01]))
+    phases = draw(st.lists(st.floats(0.0, 1.0, exclude_max=True),
+                           min_size=n, max_size=n))
+    return SimConfig(positions=np.array(coords).reshape(n, dim) * scale,
+                     signal_velocity=draw(st.sampled_from([0.3, 1.0, 7.0])),
+                     natural_period=1.0,
+                     duration=draw(st.sampled_from([1.0, 2.5, 6.0])),
+                     initial_phases=np.array(phases))
 
 
 def powerlaw_with_isolated_nodes():
@@ -602,6 +637,35 @@ class TestLaneOrder:
         lanes, tied = _lanes(config)
         assert tied == {0: [1, 0]}
         assert (lanes, tied) == lexsort_lanes(config)
+
+    @settings(max_examples=300, deadline=None)
+    @given(near_tie_configs())
+    def test_drawn_near_ties_match_the_pairwise_rule(self, config):
+        assert _lanes(config) == lexsort_lanes(config)
+
+    @settings(max_examples=40, deadline=None)
+    @given(near_tie_configs())
+    def test_drawn_near_ties_run_as_the_reference(self, config):
+        assert_same_run(run(config), reference_run(config))
+
+
+class TestCursorEnd:
+    def test_arrival_on_the_duration_past_duration_minus_t(self):
+        # Node 0 fires at t = 1 - 0.1556 and reaches node 1 after d, where
+        # t + d rounds to the duration but d > duration - t: bisecting on
+        # duration - t would drop that delivery. Node 2's arrival falls
+        # past the duration, so the lane's end must be searched for.
+        t = -0.1556 + 1.0
+        d = math.nextafter(1.0 - t, 1.0)
+        assert t + d <= 1.0 and d > 1.0 - t
+        config = SimConfig(positions=[[0.0], [d], [-0.5]],
+                           signal_velocity=1.0, natural_period=1.0,
+                           duration=1.0,
+                           initial_phases=np.array([0.1556, 0.0, 0.0]))
+        trace = run(config)
+        assert_same_run(trace, reference_run(config))
+        # Three first fires and node 0's one delivery within the duration.
+        assert trace.n_events == 4
 
 
 def mask_loop_convergence(trace, lock_threshold):
