@@ -350,15 +350,17 @@ def _configuration_edges(degrees: np.ndarray,
     keys sort in (lo, hi) order, and repeats are dropped after the sort.
     Row r's keys lie below ``(r + 1) * n``, so one search of the sorted
     keys gives the counts. Each stub-sized temporary is freed after its
-    last use.
+    last use. The stubs are int32, since MAX_STUBS keeps node ids below
+    2**31, and ``Generator.shuffle`` permutes them as it would int64 ids;
+    only the keys are int64.
     """
     n = len(degrees)
-    stubs = np.repeat(np.arange(n, dtype=np.int64), degrees)
+    stubs = np.repeat(np.arange(n, dtype=np.int32), degrees)
     rng.shuffle(stubs)
     keep = stubs[0::2] != stubs[1::2]
     a, b = stubs[0::2][keep], stubs[1::2][keep]
     del stubs, keep
-    keys = np.minimum(a, b)
+    keys = np.minimum(a, b, dtype=np.int64)
     np.maximum(a, b, out=a)
     del b
     keys *= n
@@ -520,6 +522,8 @@ def _components(graph: SampledGraph) -> np.ndarray:
     15 at 10^6). Roots are then numbered in node order: labels run
     0..c-1, one per component, so the partition is the one scipy's
     ``connected_components`` finds (a tests-only oracle here).
+    ``measure_avg_path_length`` calls it only for a graph with an empty
+    row or one its BFS has proven disconnected.
     """
     n = graph.n_nodes
     # int32 pointers halve the gathers.
@@ -541,15 +545,25 @@ def _components(graph: SampledGraph) -> np.ndarray:
 
 
 def _bfs_distance_sums(graph: SampledGraph, sources: np.ndarray,
-                       labels: np.ndarray) -> np.ndarray:
+                       labels: np.ndarray) -> np.ndarray | None:
     """Sum of hop distances from each source to every node it reaches.
 
     Bit-parallel multi-source BFS (Then et al., VLDB 2014): each chunk of
     up to 256 sources gets one bit per source in 4 uint64 words per node,
-    and one level expands every source at once. A node *lacks* the bits
-    of the sources in its own component (the ``_components`` labels) that
-    have not reached it yet; a chunk stops once no node lacks a bit (or,
-    were the labels wrong, once a level reaches nothing new).
+    and one level expands every source at once. ``labels`` must give all
+    the nodes of a component one label; other components may share it,
+    as they do under the all-zero guess of one component. A node *lacks*
+    the bits of the sources of its label that have not reached it yet,
+    and each source counts the nodes of its label it has not reached. The
+    chunk stops when every count is 0, or when a level reaches nothing
+    new; a count still above 0 then proves that a label holds a node the
+    source cannot reach, and the function returns None. With the
+    components' own labels (``_components``) it returns the int64 sums.
+
+    Each level adds every source's count to its sum, since an unreached
+    node is one level further away, and recounts from the smaller side:
+    it subtracts the bits of the level's new front, or counts the bits
+    still lacking when fewer nodes lack any.
 
     Each level picks its direction from edge counts (Beamer, Asanovic &
     Patterson, SC 2012). A push ORs each frontier node's words into its
@@ -559,11 +573,14 @@ def _bfs_distance_sums(graph: SampledGraph, sources: np.ndarray,
     Either way a node receives the OR of its frontier neighbours' words
     and keeps only the bits it lacks, so each level reaches the same
     (source, node) pairs whichever direction runs, and the int64 sums are
-    exact. The graph must be undirected (each edge in both rows).
+    exact. The graph must be undirected (each edge in both rows), and a
+    node that lacks a bit must have a neighbour: under a guessed label,
+    no row may be empty.
     """
     indices = graph.indices
     n = graph.n_nodes
     degree = np.diff(graph.indptr)
+    sizes = np.bincount(labels)
     sums = np.zeros(len(sources), dtype=np.int64)
     chunk = 256
     for first in range(0, len(sources), chunk):
@@ -575,17 +592,17 @@ def _bfs_distance_sums(graph: SampledGraph, sources: np.ndarray,
         # two bits.
         own = np.zeros((word[-1] + 1, n), dtype="<u8")
         np.bitwise_or.at(own, (word, batch), bit)
-        wanted = np.zeros((len(own), labels.max() + 1), dtype="<u8")
+        wanted = np.zeros((len(own), len(sizes)), dtype="<u8")
         np.bitwise_or.at(wanted, (word, labels[batch]), bit)
         lacking = wanted.take(labels, axis=1) & ~own
+        unreached = sizes.take(labels[batch]) - 1
+        needy = np.flatnonzero(_any_bit(lacking))
         front_nodes = np.flatnonzero(_any_bit(own))
         front = own.take(front_nodes, axis=1)
-        level = 0
-        while len(front_nodes):  # ends even if wrong labels strand a bit
-            needy = np.flatnonzero(_any_bit(lacking))
-            if not len(needy):
-                break
-            level += 1
+        while unreached.any():
+            if not len(front_nodes):
+                return None
+            sums[first:first + len(batch)] += unreached
             lengths = degree.take(needy)
             restricted_cost = _RESTRICTED_PULL_COST * int(lengths.sum())
             pull_cost = min(restricted_cost, len(indices))
@@ -602,8 +619,6 @@ def _bfs_distance_sums(graph: SampledGraph, sources: np.ndarray,
                     new_nodes, new = _reduce_rows(np.bitwise_or, words,
                                                   graph)
                 else:
-                    # Nodes that lack a bit have a neighbour: their
-                    # component holds a source other than themselves.
                     new_nodes = needy
                     edges, segments = _row_entries(graph, needy, lengths)
                     new = _reduce_segments(np.bitwise_or, words, edges,
@@ -613,8 +628,12 @@ def _bfs_distance_sums(graph: SampledGraph, sources: np.ndarray,
             front_nodes, front = new_nodes[keep], new.compress(keep, axis=1)
             for row, f in zip(lacking, front):
                 row[front_nodes] &= ~f
-            sums[first:first + len(batch)] += (
-                level * _bit_counts(front)[:len(batch)])
+            needy = np.flatnonzero(_any_bit(lacking))
+            if len(needy) < len(front_nodes):
+                unreached = _bit_counts(lacking.take(needy, axis=1))
+                unreached = unreached[:len(batch)]
+            else:
+                unreached -= _bit_counts(front)[:len(batch)]
     return sums
 
 
@@ -690,6 +709,15 @@ def measure_avg_path_length(graph: SampledGraph,
     pulls into the nodes that still lack a source, whichever reads fewer
     edges; both reach the same nodes, so the result does not depend on
     the choice. scipy's dijkstra and networkx remain its test oracles.
+
+    A graph with no empty row is first taken to be one component, as the
+    graphs this measures are: the sources are picked among all n nodes,
+    and the BFS returns None once a chunk leaves a source short of the
+    n - 1 others, which its first chunk does on a disconnected graph.
+    Only then, or when some row is empty, are the components labelled
+    (``_components``) and the sources picked again from the largest. So
+    a disconnected graph with no empty row pays one extra chunk of up to
+    256 sources, and a connected one no labelling pass.
     """
     if source_sample is not None and source_sample != "all" and (
             isinstance(source_sample, bool)
@@ -702,7 +730,23 @@ def measure_avg_path_length(graph: SampledGraph,
     n = graph.n_nodes
     if n < 2:
         raise DisconnectedGraphError(0.0, [n] if n else [])
-    labels = _components(graph)
+    result = None
+    if np.diff(graph.indptr).all():
+        result = _largest_component_path_length(
+            graph, np.zeros(n, dtype=np.intp), source_sample)
+    if result is None:
+        result = _largest_component_path_length(graph, _components(graph),
+                                                source_sample)
+    return result
+
+
+def _largest_component_path_length(graph: SampledGraph, labels: np.ndarray,
+                                   source_sample: int | str | None
+                                   ) -> PathLengthResult | None:
+    """``measure_avg_path_length`` on the largest of the labelled
+    components; None when the BFS proves that label to be more than one
+    component."""
+    n = graph.n_nodes
     counts = np.bincount(labels)
     giant = int(np.argmax(counts))
     size = int(counts[giant])
@@ -725,8 +769,11 @@ def measure_avg_path_length(graph: SampledGraph,
         sources = unique_sorted(sources)
         exact = len(sources) == size
 
+    sums = _bfs_distance_sums(graph, sources, labels)
+    if sums is None:
+        return None
     # Every target in the component is reachable; the source adds 0.
-    per_source = _bfs_distance_sums(graph, sources, labels) / (size - 1)
+    per_source = sums / (size - 1)
     mean = float(per_source.mean())
     stderr = None
     if not exact:

@@ -120,8 +120,12 @@ def synapse_width_from_wafer(wafer_diameter: float, n_synapses: float) -> float:
 def node_area(degree: float, profile: HardwareProfile) -> float:
     """Area of one node with ``degree`` synapses (affine plus routing)."""
     check_number("degree", degree, ge=0)
-    base = profile.neuron_base_area + degree * profile.synapse_area
-    return base * (1.0 + profile.routing_overhead_fraction)
+    return finite_result(
+        "node area (neuron_base_area + degree*synapse_area)"
+        "*(1 + routing_overhead_fraction)",
+        lambda: ((profile.neuron_base_area + degree * profile.synapse_area)
+                 * (1.0 + profile.routing_overhead_fraction)),
+        degree=degree, profile=profile)
 
 
 def mean_degree(dist, n_total: float) -> float:
@@ -143,13 +147,21 @@ def network_area(n_total: float, dist, profile: HardwareProfile) -> float:
     A(k) is affine in k, so the expectation is A(mean degree) exactly;
     a bare number for ``dist`` gives the degenerate single-degree case.
     """
-    return n_total * node_area(mean_degree(dist, n_total), profile)
+    area = node_area(mean_degree(dist, n_total), profile)
+    return finite_result("network area n_total*node_area",
+                         lambda: n_total * area,
+                         n_total=n_total, dist=dist, profile=profile)
 
 
 def _pulse_energy(degree: float, profile: HardwareProfile) -> float:
     """Drawn energy of one firing that reaches ``degree`` synapses."""
-    return (degree * profile.photons_per_synapse_event
-            * photon_energy(profile.wavelength) / profile.source_efficiency)
+    return finite_result(
+        "pulse energy degree*photons_per_synapse_event*photon_energy"
+        "/source_efficiency",
+        lambda: (degree * profile.photons_per_synapse_event
+                 * photon_energy(profile.wavelength)
+                 / profile.source_efficiency),
+        degree=degree, profile=profile)
 
 
 def neuron_power(degree: float, frequency: float,
@@ -164,9 +176,14 @@ def neuron_power(degree: float, frequency: float,
     check_number("degree", degree, ge=1)
     check_number("frequency", frequency, gt=0.0)
     pulse = _pulse_energy(degree, profile)
-    device = pulse * frequency
-    wall = device * profile.cooling_overhead
-    density = device / node_area(degree, profile)
+    area = node_area(degree, profile)
+    inputs = {"degree": degree, "frequency": frequency, "profile": profile}
+    device = finite_result("device power pulse_energy*frequency",
+                           lambda: pulse * frequency, **inputs)
+    wall = finite_result("wall power device_power*cooling_overhead",
+                         lambda: device * profile.cooling_overhead, **inputs)
+    density = finite_result("power density device_power/node_area",
+                            lambda: device / area, **inputs)
     return PowerReport(pulse_energy=pulse, device_power=device,
                        wall_power=wall, power_density=density)
 
@@ -183,7 +200,10 @@ def system_power_density(n_total: float, dist, mean_rate: float,
     """
     check_number("mean_rate", mean_rate, gt=0.0)
     k = check_number("mean degree", mean_degree(dist, n_total), gt=0.0)
-    per_node = _pulse_energy(k, profile) * mean_rate
+    pulse = _pulse_energy(k, profile)
     area = check_number("network area", network_area(n_total, dist, profile),
                         gt=0.0)
-    return n_total * per_node / area
+    return finite_result(
+        "system power density n_total*pulse_energy*mean_rate/network_area",
+        lambda: n_total * (pulse * mean_rate) / area,
+        n_total=n_total, dist=dist, mean_rate=mean_rate, profile=profile)

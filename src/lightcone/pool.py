@@ -83,7 +83,9 @@ def pool_diameter(platform: Platform, frequency: float) -> float:
     period; no reply is required.
     """
     check_number("frequency", frequency, gt=0.0)
-    return platform.signal_velocity / frequency
+    return finite_result("pool diameter signal_velocity/frequency",
+                         lambda: platform.signal_velocity / frequency,
+                         platform=platform, frequency=frequency)
 
 
 def pool_population(platform: Platform, query: PoolQuery) -> float:
@@ -102,7 +104,8 @@ def pool_population(platform: Platform, query: PoolQuery) -> float:
 def pool_area(platform: Platform, frequency: float) -> float:
     """Planar pool area under the square convention: area = d**2."""
     d = pool_diameter(platform, frequency)
-    return d * d
+    return finite_result("pool area diameter**2", lambda: d * d,
+                         platform=platform, frequency=frequency)
 
 
 def pool_ratio(photonic: Platform, biological: Platform,
@@ -130,7 +133,9 @@ def pool_ratio(photonic: Platform, biological: Platform,
 def max_frequency(platform: Platform, extent: float) -> float:
     """Highest frequency whose pool still spans ``extent``: f = v/extent."""
     check_number("extent", extent, gt=0.0)
-    return platform.signal_velocity / extent
+    return finite_result("max frequency signal_velocity/extent",
+                         lambda: platform.signal_velocity / extent,
+                         platform=platform, extent=extent)
 
 
 def is_integrable(platform: Platform, separation: float,

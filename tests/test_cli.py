@@ -256,6 +256,13 @@ def test_non_finite_or_fractional_number_is_usage_error(args):
     ("pool", "--w", "1e-200", "--f", "1", "--n", "3"),
     ("pool", "--w", "1e-200", "--f-min", "1", "--f-max", "2", "--n", "3"),
     ("power", "--n-total", "10", "--config", "{config}"),
+    ("power", "--degree", "1e300", "--frequency", "1e300"),
+    ("power", "--n-total", "1e20", "--mean-degree", "1e10", "--rate",
+     "1e300"),
+    ("area", "--mode", "network", "--n-min", "1e300", "--n-max", "1e300",
+     "--mean-degree", "1e300"),
+    # The area d**2 overflows while the population (d/w)**2 does not.
+    ("pool", "--w", "1e100", "--f", "1e-160"),
 ])
 def test_result_past_the_float_range_is_usage_error(tmp_path: Path, args):
     config_path = tmp_path / "wafer.json"

@@ -2,7 +2,9 @@
 
 numpy is the package's only runtime dependency; scipy is a test oracle.
 A child interpreter with scipy made unimportable runs every CLI command,
-or samples and measures a criterion-5 graph and writes its edges. Its
+or samples and measures a criterion-5 graph, writes its edges, and
+measures it again beside a detached triangle, the route that labels
+components. Its
 stdout and every file it writes must equal, byte for byte, those of the
 same script run with scipy importable, which must not load it either.
 The suite itself imports scipy, so both runs are fresh interpreters.
@@ -38,11 +40,28 @@ import lightcone.cli as cli
 
 report = {}
 if part == "graph":
+    from lightcone import graphs
+    labelled = report["labelled"] = []
+    components = graphs._components
+    graphs._components = lambda g: labelled.append(g.n_nodes) or components(g)
     graph = lightcone.sample_graph(
         lightcone.RandomGaussian(10**4, 2.5), 10**4, 0)
     result = lightcone.measure_avg_path_length(graph, source_sample=256)
     np.save("edges.npy", graph.edge_array())
     report["result"] = dataclasses.asdict(result)
+    # Plus a detached triangle: no row is empty, so only the BFS can tell
+    # that the graph is disconnected, and then the components are labelled.
+    n = graph.n_nodes
+    split = lightcone.SampledGraph(
+        n + 3,
+        np.append(graph.indptr,
+                  graph.indptr[-1] + np.array([2, 4, 6], dtype=np.int32)),
+        np.append(graph.indices,
+                  np.array([n + 1, n + 2, n, n + 2, n, n + 1],
+                           dtype=np.int32)),
+        seed=0)
+    report["split"] = dataclasses.asdict(
+        lightcone.measure_avg_path_length(split, source_sample=256))
 else:
     report["codes"] = [cli.main(args) for args in (
         ["degree", "--random", "--powerlaw", "--out", "degree"],
@@ -114,6 +133,9 @@ def test_sampling_and_measuring_never_load_csgraph(tmp_path: Path):
     # Criterion 5's rule: the formula's 2.5 within 10% of the mean.
     mean = report["result"]["mean"]
     assert abs(mean - 2.5) <= 0.1 * mean
+    # Only the graph with the triangle had its components labelled.
+    assert report["labelled"] == [10**4 + 3]
+    assert report["split"]["component_size"] == 10**4
     # Dropping repeated sources does not go through np.unique, which
     # loads numpy.ma.
     assert report["masked"] is False

@@ -190,6 +190,7 @@ POOL_INPUTS = ("signal_velocity", "element_width", "frequency", "dimension")
 RATIO_INPUTS = ("photonic", "biological", "signal_velocity", "element_width",
                 "dimension")
 TINY_WIDTH = Platform(3.0e8, 1e-200, element_kind="synapse")
+POWER_INPUTS = ("degree", "frequency", "cooling_overhead")
 
 # (call, the inputs its message names): finite inputs that carry a
 # formula past the float range.
@@ -205,6 +206,24 @@ OVERFLOW = [
     # The divisor w_a * v_b underflows to 0.
     (lambda: pool_ratio(TINY_WIDTH, Platform(1e-200, 1.0, "synapse")),
      RATIO_INPUTS),
+    (lambda: pool_diameter(LIGHT, 1e-320), ("signal_velocity", "frequency")),
+    (lambda: pool_area(LIGHT, 1e-160), ("signal_velocity", "frequency")),
+    (lambda: max_frequency(LIGHT, 1e-320), ("signal_velocity", "extent")),
+    (lambda: node_area(1e300, dataclasses.replace(WAFER, synapse_area=1e10)),
+     ("degree", "synapse_area")),
+    (lambda: network_area(1e300, 1e300, WAFER),
+     ("n_total", "dist", "synapse_area")),
+    # Pulse energy, then device power, wall power and power density.
+    (lambda: neuron_power(1e300, 1.0, dataclasses.replace(
+        WAFER, photons_per_synapse_event=1e300)),
+     ("degree", "photons_per_synapse_event", "source_efficiency")),
+    (lambda: neuron_power(1e300, 1e300, WAFER), POWER_INPUTS),
+    (lambda: neuron_power(1.0, 1e300, dataclasses.replace(
+        WAFER, cooling_overhead=1e300)), POWER_INPUTS),
+    (lambda: neuron_power(1.0, 1e30, dataclasses.replace(
+        WAFER, synapse_area=1e-300, neuron_base_area=0.0)), POWER_INPUTS),
+    (lambda: system_power_density(1e20, 1e10, 1e300, WAFER),
+     ("n_total", "dist", "mean_rate", "cooling_overhead")),
 ]
 
 
