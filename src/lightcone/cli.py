@@ -135,12 +135,26 @@ def _parse_floats(text: str, flag: str) -> list[float]:
     return values
 
 
+def _log_grid(lo: float, hi: float, points: int, name: str) -> np.ndarray:
+    """``points`` log-spaced values from ``lo`` to ``hi``.
+
+    Next to the largest float, 10**log10(hi) can round past the float
+    range; that raises a ConfigError worded as ``finite_result``'s.
+    """
+    with np.errstate(over="ignore"):
+        grid = np.logspace(np.log10(lo), np.log10(hi), points)
+    if not np.isfinite(grid[-1]):
+        raise ConfigError(
+            f"log grid exceeds the float range at {name}={hi!r}")
+    return grid
+
+
 def _n_grid(n_min: float, n_max: float, per_decade: int) -> np.ndarray:
     if n_min < 2 or n_max < n_min:
         raise ConfigError("need 2 <= n-min <= n-max")
     decades = np.log10(n_max) - np.log10(n_min)
     points = max(2, int(round(decades * per_decade)) + 1)
-    grid = np.logspace(np.log10(n_min), np.log10(n_max), points)
+    grid = _log_grid(n_min, n_max, points, "n_max")
     # Whole numbers kept in float64: sizes beyond the int64 range (earth
     # scale passes 1e20) stay exact, and ``int(n)`` prints each one. The
     # grid increases, so rounding can only repeat a neighbour.
@@ -176,8 +190,7 @@ def _pool_frequencies(args) -> list[float]:
         raise ConfigError("give --f, or both --f-min and --f-max")
     if args.f_min <= 0 or args.f_max < args.f_min:
         raise ConfigError("need 0 < f-min <= f-max")
-    return np.logspace(np.log10(args.f_min), np.log10(args.f_max),
-                       args.points).tolist()
+    return _log_grid(args.f_min, args.f_max, args.points, "f_max").tolist()
 
 
 def cmd_pool(args) -> int:

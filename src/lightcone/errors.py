@@ -1,4 +1,4 @@
-"""The numeric input rule, and exception types that carry diagnostic payloads.
+"""The numeric input and result rules, and exception types with payloads.
 
 Every number a public constructor or formula takes goes through
 ``check_number`` (a finite real within optional bounds), ``check_integer``
@@ -6,11 +6,21 @@ Every number a public constructor or formula takes goes through
 reject bools, non-numbers, NaN and infinity with a ValueError that names
 the input, and never convert, so a checked value keeps its type and all
 arithmetic on it stays as it was. The config reader turns that error into
-a ConfigError naming ``section.key``; the CLI turns either into exit 2,
-as it does ``finite_result``'s error for a result past the float range.
+a ConfigError naming ``section.key``; the CLI turns either into exit 2.
+
+Every closed form that finite inputs can carry past the float range (the
+power-law cutoff and mean degree; the pool diameter v/f, population,
+area, ratio and maximum frequency; the hardware areas and photon-power
+budget) is decorated with ``finite_result`` and states its formula once,
+as plain arithmetic. A result past the range, or a field of one, raises
+a ValueError "<function> exceeds the float range at <arg>=<value>, ...",
+and the CLI turns that into exit 2 as well.
 """
 from __future__ import annotations
 
+import dataclasses
+import functools
+import inspect
 import math
 from numbers import Integral, Real
 
@@ -64,19 +74,31 @@ def check_integer(name: str, value, *, ge=None, le=None):
     return value
 
 
-def finite_result(what: str, formula, **inputs) -> float:
-    """``formula()`` if finite, else a ValueError naming ``what`` and the
-    ``inputs``: past the float range a float ``**`` raises OverflowError,
-    a product gives inf, and a divisor that underflows raises
-    ZeroDivisionError."""
-    try:
-        value = formula()
-    except (OverflowError, ZeroDivisionError):
-        value = math.inf
-    if not _is_finite(value):
-        named = ", ".join(f"{key}={arg!r}" for key, arg in inputs.items())
-        raise ValueError(f"{what} exceeds the float range at {named}")
-    return value
+def finite_result(function):
+    """Decorate a closed form so that a result past the float range raises.
+
+    A float ``**`` past the range raises OverflowError, a product gives
+    inf and a divisor that underflows raises ZeroDivisionError; each, and
+    a dataclass result with a non-finite field, becomes a ValueError
+    "<function> exceeds the float range at <arg>=<value>, ...".
+    """
+    @functools.wraps(function)
+    def checked(*args, **kwargs):
+        try:
+            value = function(*args, **kwargs)
+        except (OverflowError, ZeroDivisionError):
+            value = math.inf
+        fields = (vars(value).values() if dataclasses.is_dataclass(value)
+                  else (value,))
+        if all(map(_is_finite, fields)):
+            return value
+        bound = inspect.signature(function).bind(*args, **kwargs)
+        bound.apply_defaults()
+        named = ", ".join(f"{key}={arg!r}"
+                          for key, arg in bound.arguments.items())
+        raise ValueError(
+            f"{function.__name__} exceeds the float range at {named}")
+    return checked
 
 
 def check_each(name: str, values, *, gt=None, ge=None, lt=None,

@@ -214,6 +214,7 @@ def _natural_cutoff(dist: PowerLaw, n_total: float) -> float:
         return math.inf
 
 
+@finite_result
 def powerlaw_cutoff(dist: PowerLaw, n_total: float) -> float:
     """Upper degree cutoff: explicit if set, else the natural cutoff.
 
@@ -223,11 +224,10 @@ def powerlaw_cutoff(dist: PowerLaw, n_total: float) -> float:
     check_number("n_total", n_total, ge=2)
     if dist.k_max is not None:
         return float(dist.k_max)
-    return finite_result("natural cutoff k_min * n_total**(1/(alpha-1))",
-                         lambda: _natural_cutoff(dist, n_total),
-                         alpha=dist.alpha, k_min=dist.k_min, n_total=n_total)
+    return _natural_cutoff(dist, n_total)
 
 
+@finite_result
 def powerlaw_mean_degree(dist: PowerLaw, n_total: float) -> float:
     """Mean degree of the continuous truncated power law.
 

@@ -97,12 +97,11 @@ def photon_energy(wavelength: float) -> float:
     return PLANCK * SPEED_OF_LIGHT / wavelength
 
 
+@finite_result
 def wafer_area(diameter: float) -> float:
     """Usable area of a circular wafer, pi*(D/2)**2."""
     check_number("diameter", diameter, gt=0.0)
-    return finite_result("wafer area pi*(diameter/2)**2",
-                         lambda: math.pi * (0.5 * diameter) ** 2,
-                         diameter=diameter)
+    return math.pi * (0.5 * diameter) ** 2
 
 
 def element_width_from_area(area: float, n_elements: float) -> float:
@@ -117,15 +116,12 @@ def synapse_width_from_wafer(wafer_diameter: float, n_synapses: float) -> float:
     return element_width_from_area(wafer_area(wafer_diameter), n_synapses)
 
 
+@finite_result
 def node_area(degree: float, profile: HardwareProfile) -> float:
     """Area of one node with ``degree`` synapses (affine plus routing)."""
     check_number("degree", degree, ge=0)
-    return finite_result(
-        "node area (neuron_base_area + degree*synapse_area)"
-        "*(1 + routing_overhead_fraction)",
-        lambda: ((profile.neuron_base_area + degree * profile.synapse_area)
-                 * (1.0 + profile.routing_overhead_fraction)),
-        degree=degree, profile=profile)
+    return ((profile.neuron_base_area + degree * profile.synapse_area)
+            * (1.0 + profile.routing_overhead_fraction))
 
 
 def mean_degree(dist, n_total: float) -> float:
@@ -141,29 +137,24 @@ def mean_degree(dist, n_total: float) -> float:
     return float(check_number("degree", dist, ge=0))
 
 
+@finite_result
 def network_area(n_total: float, dist, profile: HardwareProfile) -> float:
     """Total area of n_total nodes: n * E[A(k)] over the degree law.
 
     A(k) is affine in k, so the expectation is A(mean degree) exactly;
     a bare number for ``dist`` gives the degenerate single-degree case.
     """
-    area = node_area(mean_degree(dist, n_total), profile)
-    return finite_result("network area n_total*node_area",
-                         lambda: n_total * area,
-                         n_total=n_total, dist=dist, profile=profile)
+    return n_total * node_area(mean_degree(dist, n_total), profile)
 
 
+@finite_result
 def _pulse_energy(degree: float, profile: HardwareProfile) -> float:
     """Drawn energy of one firing that reaches ``degree`` synapses."""
-    return finite_result(
-        "pulse energy degree*photons_per_synapse_event*photon_energy"
-        "/source_efficiency",
-        lambda: (degree * profile.photons_per_synapse_event
-                 * photon_energy(profile.wavelength)
-                 / profile.source_efficiency),
-        degree=degree, profile=profile)
+    return (degree * profile.photons_per_synapse_event
+            * photon_energy(profile.wavelength) / profile.source_efficiency)
 
 
+@finite_result
 def neuron_power(degree: float, frequency: float,
                  profile: HardwareProfile) -> PowerReport:
     """Communication power of one node firing at ``frequency``.
@@ -176,18 +167,13 @@ def neuron_power(degree: float, frequency: float,
     check_number("degree", degree, ge=1)
     check_number("frequency", frequency, gt=0.0)
     pulse = _pulse_energy(degree, profile)
-    area = node_area(degree, profile)
-    inputs = {"degree": degree, "frequency": frequency, "profile": profile}
-    device = finite_result("device power pulse_energy*frequency",
-                           lambda: pulse * frequency, **inputs)
-    wall = finite_result("wall power device_power*cooling_overhead",
-                         lambda: device * profile.cooling_overhead, **inputs)
-    density = finite_result("power density device_power/node_area",
-                            lambda: device / area, **inputs)
+    device = pulse * frequency
     return PowerReport(pulse_energy=pulse, device_power=device,
-                       wall_power=wall, power_density=density)
+                       wall_power=device * profile.cooling_overhead,
+                       power_density=device / node_area(degree, profile))
 
 
+@finite_result
 def system_power_density(n_total: float, dist, mean_rate: float,
                          profile: HardwareProfile) -> float:
     """Device power per unit network area at a mean firing rate, W/m^2.
@@ -203,7 +189,4 @@ def system_power_density(n_total: float, dist, mean_rate: float,
     pulse = _pulse_energy(k, profile)
     area = check_number("network area", network_area(n_total, dist, profile),
                         gt=0.0)
-    return finite_result(
-        "system power density n_total*pulse_energy*mean_rate/network_area",
-        lambda: n_total * (pulse * mean_rate) / area,
-        n_total=n_total, dist=dist, mean_rate=mean_rate, profile=profile)
+    return n_total * (pulse * mean_rate) / area

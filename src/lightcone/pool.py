@@ -76,6 +76,7 @@ class PoolResult:
     area: float | None
 
 
+@finite_result
 def pool_diameter(platform: Platform, frequency: float) -> float:
     """Maximum pairwise separation integrable at ``frequency``: d = v/f.
 
@@ -83,11 +84,10 @@ def pool_diameter(platform: Platform, frequency: float) -> float:
     period; no reply is required.
     """
     check_number("frequency", frequency, gt=0.0)
-    return finite_result("pool diameter signal_velocity/frequency",
-                         lambda: platform.signal_velocity / frequency,
-                         platform=platform, frequency=frequency)
+    return platform.signal_velocity / frequency
 
 
+@finite_result
 def pool_population(platform: Platform, query: PoolQuery) -> float:
     """Number of elements in the pool: (d / element_width) ** dimension.
 
@@ -95,19 +95,17 @@ def pool_population(platform: Platform, query: PoolQuery) -> float:
     population == (diameter/width)**n holds bit-exactly.
     """
     d = pool_diameter(platform, query.frequency)
-    return finite_result(
-        "pool population (diameter/element_width)**dimension",
-        lambda: (d / platform.element_width) ** query.dimension,
-        platform=platform, query=query)
+    return (d / platform.element_width) ** query.dimension
 
 
+@finite_result
 def pool_area(platform: Platform, frequency: float) -> float:
     """Planar pool area under the square convention: area = d**2."""
     d = pool_diameter(platform, frequency)
-    return finite_result("pool area diameter**2", lambda: d * d,
-                         platform=platform, frequency=frequency)
+    return d * d
 
 
+@finite_result
 def pool_ratio(photonic: Platform, biological: Platform,
                dimension: int = 2) -> float:
     """Pool population ratio between two platforms of the same element kind.
@@ -122,20 +120,16 @@ def pool_ratio(photonic: Platform, biological: Platform,
             f"element_kind mismatch: {photonic.element_kind!r} vs "
             f"{biological.element_kind!r}"
         )
-    return finite_result(
-        "pool ratio (v_a*w_b/(w_a*v_b))**dimension",
-        lambda: ((photonic.signal_velocity * biological.element_width)
-                 / (photonic.element_width * biological.signal_velocity)
-                 ) ** dimension,
-        photonic=photonic, biological=biological, dimension=dimension)
+    return ((photonic.signal_velocity * biological.element_width)
+            / (photonic.element_width * biological.signal_velocity)
+            ) ** dimension
 
 
+@finite_result
 def max_frequency(platform: Platform, extent: float) -> float:
     """Highest frequency whose pool still spans ``extent``: f = v/extent."""
     check_number("extent", extent, gt=0.0)
-    return finite_result("max frequency signal_velocity/extent",
-                         lambda: platform.signal_velocity / extent,
-                         platform=platform, extent=extent)
+    return platform.signal_velocity / extent
 
 
 def is_integrable(platform: Platform, separation: float,

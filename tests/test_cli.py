@@ -1,9 +1,15 @@
+import contextlib
+import io
 import json
+import math
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lightcone import cli
 
@@ -263,6 +269,12 @@ def test_non_finite_or_fractional_number_is_usage_error(args):
      "--mean-degree", "1e300"),
     # The area d**2 overflows while the population (d/w)**2 does not.
     ("pool", "--w", "1e100", "--f", "1e-160"),
+    # The power-law normaliser's two terms both underflow to 0.
+    ("degree", "--powerlaw", "--k-min", "1e200"),
+    ("area", "--mode", "network", "--alpha", "3.99", "--k-min", "1e150"),
+    # 10**log10(x) rounds past the largest float.
+    ("degree", "--random", "--n-max", "1.7976931348623157e308"),
+    ("pool", "--f-min", "1", "--f-max", "1.7976931348623157e308"),
 ])
 def test_result_past_the_float_range_is_usage_error(tmp_path: Path, args):
     config_path = tmp_path / "wafer.json"
@@ -354,3 +366,63 @@ def test_one_parser_serves_many_calls_like_fresh_processes(tmp_path: Path,
     fresh = [run_cli(*argv) for argv in calls]
     assert shared == [(r.returncode, r.stdout, r.stderr) for r in fresh]
     assert [code for code, _, _ in shared] == [2, 0, 0]
+
+
+# Each float flag of the four closed-form commands, drawn from every
+# finite float (subnormals included) and, as often, from [0, 10], where
+# the exponents and small sizes that the laws accept lie.
+FINITE = (st.floats(allow_nan=False, allow_infinity=False)
+          | st.floats(min_value=0.0, max_value=10.0))
+FLOAT_FLAGS = {
+    "degree": ("--n-min", "--n-max", "--k-min", "--k-max", "--alpha",
+               "--path-length"),
+    "pool": ("--v", "--w", "--f", "--f-min", "--f-max"),
+    "area": ("--n-min", "--n-max", "--alpha", "--k-min", "--k-max",
+             "--mean-degree", "--degrees"),
+    "power": ("--degree", "--frequency", "--n-total", "--rate", "--alpha",
+              "--k-min", "--mean-degree"),
+}
+# One choice from each group of the other flags. The grids stay small:
+# 2 points per decade already span 600 rows from 2 to the largest float.
+OTHER_FLAGS = {
+    "degree": [("--random", "--powerlaw", "--random --powerlaw"),
+               ("--per-decade=1", "--per-decade=2")],
+    "pool": [("--n=1", "--n=2", "--n=3"), ("--points=1", "--points=3")],
+    "area": [("--mode=node", "--mode=network"),
+             ("--per-decade=1", "--per-decade=2")],
+    "power": [],
+}
+
+
+@st.composite
+def closed_form_argv(draw):
+    command = draw(st.sampled_from(sorted(FLOAT_FLAGS)))
+    other = [draw(st.sampled_from(group)) for group in OTHER_FLAGS[command]]
+    floats = draw(st.fixed_dictionaries(
+        {}, optional={flag: FINITE for flag in FLOAT_FLAGS[command]}))
+    return [command, *" ".join(other).split(),
+            draw(st.sampled_from(("--format=csv", "--format=table"))),
+            *(f"{flag}={value!r}" for flag, value in floats.items())]
+
+
+def printed_numbers(text: str):
+    for token in re.split(r"[\s,]+", text):
+        try:
+            yield float(token)
+        except ValueError:
+            pass
+
+
+@settings(max_examples=500, deadline=None)
+@given(argv=closed_form_argv())
+def test_closed_form_commands_keep_their_exit_codes(argv):
+    # In process, so pytest turns a numpy overflow warning into an error.
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    if code == 0:
+        assert all(map(math.isfinite, printed_numbers(out.getvalue())))
+    else:
+        assert code == 2
+        errors = err.getvalue().splitlines()
+        assert len(errors) == 1 and errors[0].startswith("error: "), errors
