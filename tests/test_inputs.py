@@ -198,9 +198,6 @@ OVERFLOW = [
     (lambda: powerlaw_cutoff(PowerLaw(1.01), 1e8), CUTOFF_INPUTS),
     (lambda: powerlaw_mean_degree(PowerLaw(1.01), 1e8), CUTOFF_INPUTS),
     (lambda: powerlaw_max_degree(PowerLaw(1.01), 1e8), CUTOFF_INPUTS),
-    # Both terms of the normaliser underflow to 0.
-    (lambda: powerlaw_mean_degree(PowerLaw(3.0, k_min=1e200), 100.0),
-     CUTOFF_INPUTS),
     (lambda: network_area(1e8, PowerLaw(1.01), WAFER), CUTOFF_INPUTS),
     (lambda: wafer_area(1e200), ("diameter",)),
     (lambda: pool_population(Platform(3.0e8, 1e-200), PoolQuery(1.0, 3)),
@@ -227,6 +224,9 @@ OVERFLOW = [
         WAFER, synapse_area=1e-300, neuron_base_area=0.0)), POWER_INPUTS),
     (lambda: system_power_density(1e20, 1e10, 1e300, WAFER),
      ("n_total", "dist", "mean_rate", "cooling_overhead")),
+    # Both terms of the normaliser underflow to 0.
+    (lambda: powerlaw_mean_degree(PowerLaw(3.0, k_min=1e200), 100.0),
+     CUTOFF_INPUTS),
 ]
 
 
