@@ -43,9 +43,6 @@ from .hardware import (
 )
 from .pool import (
     Platform,
-    PoolQuery,
-    PoolResult,
-    describe_pool,
     is_integrable,
     max_frequency,
     pool_area,
@@ -78,9 +75,8 @@ __all__ = [
     "HardwareProfile", "PowerReport", "element_width_from_area",
     "network_area", "neuron_power", "node_area", "photon_energy",
     "synapse_width_from_wafer", "system_power_density", "wafer_area",
-    "Platform", "PoolQuery", "PoolResult", "describe_pool", "is_integrable",
-    "max_frequency", "pool_area", "pool_diameter", "pool_population",
-    "pool_ratio",
+    "Platform", "is_integrable", "max_frequency", "pool_area",
+    "pool_diameter", "pool_population", "pool_ratio",
     "SimConfig", "SpikeTrace", "SweepResult", "SweepRow", "SynchronyReport",
     "pairwise_delays", "pool_sweep", "run", "synchrony_metrics",
 ]

@@ -35,7 +35,7 @@ from .errors import (
     check_integer,
     check_number,
 )
-from .golden import all_passed, run_golden_checks
+from .golden import run_golden_checks
 from .graphs import (
     PowerLaw,
     avg_degree_random,
@@ -51,7 +51,13 @@ from .hardware import (
     system_power_density,
     wafer_area,
 )
-from .pool import Platform, PoolQuery, describe_pool, max_frequency
+from .pool import (
+    Platform,
+    max_frequency,
+    pool_area,
+    pool_diameter,
+    pool_population,
+)
 from .sim import pool_sweep, run, synchrony_metrics
 
 EXIT_OK = 0
@@ -184,9 +190,9 @@ def cmd_degree(args) -> int:
 
 
 def _pool_frequencies(args) -> list[float]:
-    if args.f is not None:
+    if args.f is not None and args.f_min is None and args.f_max is None:
         return [args.f]
-    if args.f_min is None or args.f_max is None:
+    if args.f is not None or args.f_min is None or args.f_max is None:
         raise ConfigError("give --f, or both --f-min and --f-max")
     if args.f_min <= 0 or args.f_max < args.f_min:
         raise ConfigError("need 0 < f-min <= f-max")
@@ -195,14 +201,11 @@ def _pool_frequencies(args) -> list[float]:
 
 def cmd_pool(args) -> int:
     platform = Platform(signal_velocity=args.v, element_width=args.w,
-                        element_kind=args.kind, label="cli")
-    rows = []
-    for f in _pool_frequencies(args):
-        result = describe_pool(platform, PoolQuery(frequency=f,
-                                                   dimension=args.n))
-        rows.append([f, result.diameter,
-                     result.area if result.area is not None else "",
-                     result.population])
+                        element_kind=args.kind)
+    rows = [[f, pool_diameter(platform, f),
+             pool_area(platform, f) if args.n == 2 else "",
+             pool_population(platform, f, args.n)]
+            for f in _pool_frequencies(args)]
     _emit(args, ["frequency", "diameter_m", "area_m2", "population"],
           rows, "pool.csv")
     if args.format == "table" and args.out is None:
@@ -315,12 +318,13 @@ def cmd_sweep(args) -> int:
 def cmd_paper_check(args) -> int:
     results = run_golden_checks()
     for r in results:
+        check = r.check
         verdict = "PASS" if r.passed else "FAIL"
-        tol = (f"rel {r.tolerance:.0%}" if r.mode == "relative"
-               else f"factor {r.tolerance:g}")
-        print(f"{verdict}  {r.name:<24} value={sci(r.value)}  "
-              f"expected={sci(r.expected)}  tol={tol}")
-    ok = all_passed(results)
+        tol = (f"rel {check.tolerance:.0%}" if check.mode == "relative"
+               else f"factor {check.tolerance:g}")
+        print(f"{verdict}  {check.name:<24} value={sci(r.value)}  "
+              f"expected={sci(check.expected)}  tol={tol}")
+    ok = all(r.passed for r in results)
     print(f"{'all checks passed' if ok else 'SOME CHECKS FAILED'} "
           f"({sum(r.passed for r in results)}/{len(results)})")
     payload = {
@@ -328,12 +332,12 @@ def cmd_paper_check(args) -> int:
         "all_passed": ok,
         "results": [
             {
-                "name": r.name,
-                "description": r.description,
+                "name": r.check.name,
+                "description": r.check.description,
                 "value": r.value,
-                "expected": r.expected,
-                "tolerance_mode": r.mode,
-                "tolerance": r.tolerance,
+                "expected": r.check.expected,
+                "tolerance_mode": r.check.mode,
+                "tolerance": r.check.tolerance,
                 "passed": r.passed,
             }
             for r in results

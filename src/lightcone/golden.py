@@ -14,10 +14,10 @@ from typing import Callable
 
 from .constants import SPEED_OF_LIGHT
 from .hardware import HardwareProfile, neuron_power, photon_energy, synapse_width_from_wafer
-from .pool import Platform, PoolQuery, pool_area, pool_population, pool_ratio
+from .pool import Platform, pool_area, pool_population, pool_ratio
 
 __all__ = ["GoldenCheck", "GoldenResult", "GOLDEN_CHECKS",
-           "run_golden_checks", "all_passed"]
+           "run_golden_checks"]
 
 
 @dataclass(frozen=True)
@@ -32,26 +32,22 @@ class GoldenCheck:
 
 @dataclass(frozen=True)
 class GoldenResult:
-    name: str
-    description: str
+    check: GoldenCheck
     value: float
-    expected: float
-    mode: str
-    tolerance: float
     passed: bool
 
 
 def _cortex_pool() -> float:
     cortex = Platform(signal_velocity=2.0, element_width=2.4e-6,
-                      element_kind="neuron", label="human cortex")
-    return pool_population(cortex, PoolQuery(frequency=6.0, dimension=2))
+                      element_kind="neuron")
+    return pool_population(cortex, frequency=6.0, dimension=2)
 
 
 def _platform_ratio() -> float:
     photonic = Platform(signal_velocity=3.0e8, element_width=1.9e-5,
-                        element_kind="synapse", label="photonic")
+                        element_kind="synapse")
     biological = Platform(signal_velocity=2.0, element_width=2.4e-8,
-                          element_kind="synapse", label="biological")
+                          element_kind="synapse")
     return pool_ratio(photonic, biological, dimension=2)
 
 
@@ -66,7 +62,7 @@ def _megasynapse_neuron_power() -> float:
 
 def _datacenter_pool_area() -> float:
     light = Platform(signal_velocity=SPEED_OF_LIGHT, element_width=1.9e-5,
-                     element_kind="synapse", label="free space")
+                     element_kind="synapse")
     return pool_area(light, 1e6)
 
 
@@ -140,17 +136,5 @@ def run_golden_checks() -> tuple[GoldenResult, ...]:
     results = []
     for check in GOLDEN_CHECKS:
         value = check.compute()
-        results.append(GoldenResult(
-            name=check.name,
-            description=check.description,
-            value=value,
-            expected=check.expected,
-            mode=check.mode,
-            tolerance=check.tolerance,
-            passed=_passes(value, check),
-        ))
+        results.append(GoldenResult(check, value, _passes(value, check)))
     return tuple(results)
-
-
-def all_passed(results: tuple[GoldenResult, ...]) -> bool:
-    return all(r.passed for r in results)

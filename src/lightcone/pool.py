@@ -15,15 +15,12 @@ from .errors import check_integer, check_number, finite_result
 
 __all__ = [
     "Platform",
-    "PoolQuery",
-    "PoolResult",
     "pool_diameter",
     "pool_population",
     "pool_area",
     "pool_ratio",
     "max_frequency",
     "is_integrable",
-    "describe_pool",
 ]
 
 _ELEMENT_KINDS = ("neuron", "synapse")
@@ -42,7 +39,6 @@ class Platform:
     signal_velocity: float
     element_width: float
     element_kind: str = "neuron"
-    label: str = ""
 
     def __post_init__(self):
         check_number("signal_velocity", self.signal_velocity,
@@ -53,27 +49,6 @@ class Platform:
                 f"element_kind must be one of {_ELEMENT_KINDS}, "
                 f"got {self.element_kind!r}"
             )
-
-
-@dataclass(frozen=True)
-class PoolQuery:
-    """An oscillation frequency and the spatial dimension of the pool."""
-
-    frequency: float
-    dimension: int = 2
-
-    def __post_init__(self):
-        check_number("frequency", self.frequency, gt=0.0)
-        check_integer("dimension", self.dimension, ge=1, le=3)
-
-
-@dataclass(frozen=True)
-class PoolResult:
-    """Pool geometry for one platform and query; area only when planar."""
-
-    diameter: float
-    population: float
-    area: float | None
 
 
 @finite_result
@@ -88,14 +63,16 @@ def pool_diameter(platform: Platform, frequency: float) -> float:
 
 
 @finite_result
-def pool_population(platform: Platform, query: PoolQuery) -> float:
+def pool_population(platform: Platform, frequency: float,
+                    dimension: int = 2) -> float:
     """Number of elements in the pool: (d / element_width) ** dimension.
 
     Computed through :func:`pool_diameter` so the compositional identity
     population == (diameter/width)**n holds bit-exactly.
     """
-    d = pool_diameter(platform, query.frequency)
-    return (d / platform.element_width) ** query.dimension
+    check_integer("dimension", dimension, ge=1, le=3)
+    d = pool_diameter(platform, frequency)
+    return (d / platform.element_width) ** dimension
 
 
 @finite_result
@@ -143,14 +120,3 @@ def is_integrable(platform: Platform, separation: float,
     """
     check_number("separation", separation, gt=0.0)
     return separation <= pool_diameter(platform, frequency)
-
-
-def describe_pool(platform: Platform, query: PoolQuery) -> PoolResult:
-    """Diameter, population and (when planar) area for one query."""
-    area = (pool_area(platform, query.frequency)
-            if query.dimension == 2 else None)
-    return PoolResult(
-        diameter=pool_diameter(platform, query.frequency),
-        population=pool_population(platform, query),
-        area=area,
-    )

@@ -192,8 +192,14 @@ class SpikeTrace:
     n_events: int
 
     def in_window(self, t0: float, t1: float) -> tuple[np.ndarray, np.ndarray]:
-        mask = (self.times >= t0) & (self.times <= t1)
-        return self.times[mask], self.nodes[mask]
+        """Times and nodes of the fires with t0 <= time <= t1, in order.
+
+        Times never decrease, so the window is one slice, and the arrays
+        returned are views of the trace's own.
+        """
+        start = np.searchsorted(self.times, t0, side="left")
+        stop = np.searchsorted(self.times, t1, side="right")
+        return self.times[start:stop], self.nodes[start:stop]
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,6 @@ from lightcone import (
     EARTH_SURFACE_AREA,
     SPEED_OF_LIGHT,
     Platform,
-    PoolQuery,
     PowerLaw,
     RandomGaussian,
     SimConfig,
@@ -50,7 +49,7 @@ def report(criterion: int, passed: bool, detail: str) -> None:
 def test_criterion_01_cortex_pool_calibration():
     cortex = Platform(signal_velocity=2.0, element_width=2.4e-6,
                       element_kind="neuron")
-    value = pool_population(cortex, PoolQuery(frequency=6.0, dimension=2))
+    value = pool_population(cortex, frequency=6.0, dimension=2)
     expected = 1.9e10
     deviation = abs(value - expected) / expected
     report(1, deviation <= 0.05,

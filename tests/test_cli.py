@@ -116,6 +116,47 @@ def test_pool_sweep_csv_round_trips(tmp_path: Path):
     assert reformatted == original
 
 
+# Exact bytes of the pool command's table (with the earth footer) and
+# CSV: an area only for a planar pool, a blank area column otherwise.
+POOL_BYTES = {
+    "planar-table": (
+        ("pool", "--f", "6"),
+        "frequency    diameter_m   area_m2      population \n"
+        "6.00000e+00  4.99654e+07  2.49654e+15  6.91563e+24\n"
+        "\n"
+        "earth-surface square side (m): 2.25832e+07\n"
+        "max integrable frequency at that extent (Hz): 1.32750e+01\n"
+        "theta band [4, 8] Hz integrable at earth scale: yes\n"),
+    "n3-csv": (
+        ("pool", "--f", "1e3", "--n", "3", "--format", "csv"),
+        "frequency,diameter_m,area_m2,population\n"
+        "1.00000e+03,2.99792e+05,,3.92827e+30\n"),
+}
+
+
+@pytest.mark.parametrize("args, expected", POOL_BYTES.values(),
+                         ids=POOL_BYTES.keys())
+def test_pool_output_bytes_are_pinned(args, expected):
+    result = run_cli(*args)
+    assert result.returncode == 0
+    assert result.stderr == ""
+    assert result.stdout == expected
+
+
+@pytest.mark.parametrize("args", [
+    ("--f", "6", "--f-min", "1", "--f-max", "10"),
+    ("--f", "6", "--f-min", "1"),
+    ("--f", "6", "--f-max", "10"),
+    ("--f-min", "1"),
+    (),
+])
+def test_pool_frequency_flag_mix_is_usage_error(args):
+    result = run_cli("pool", *args)
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr == "error: give --f, or both --f-min and --f-max\n"
+
+
 def test_area_node_mode():
     result = run_cli("area", "--mode", "node", "--degrees", "0,10,100",
                      "--format", "csv")
@@ -204,6 +245,89 @@ def test_paper_check_passes_and_writes_results(tmp_path: Path):
     names = {r["name"] for r in payload["results"]}
     assert "cortex_pool_population" in names
     assert all("tolerance" in r for r in payload["results"])
+
+
+# Exact bytes of paper-check's report, up to the line naming the file it
+# wrote, and of that file.
+PAPER_CHECK_STDOUT = (
+    "PASS  cortex_pool_population   value=1.92901e+10  expected=1.90000e+10  tol=rel 5%\n"
+    "PASS  platform_pool_ratio      value=3.59003e+10  expected=3.60000e+10  tol=rel 5%\n"
+    "PASS  picojoule_pulse          value=1.32430e-12  expected=1.00000e-12  tol=factor 4\n"
+    "PASS  milliwatt_neuron         value=1.32430e-03  expected=1.00000e-03  tol=factor 4\n"
+    "PASS  datacenter_pool_area     value=8.98755e+04  expected=1.00000e+05  tol=factor 4\n"
+    "PASS  wafer_synapse_width      value=1.87997e-05  expected=1.90000e-05  tol=rel 5%\n"
+    "all checks passed (6/6)\n"
+)
+PAPER_CHECK_JSON = (
+    '{\n'
+    '  "schema_version": 1,\n'
+    '  "all_passed": true,\n'
+    '  "results": [\n'
+    '    {\n'
+    '      "name": "cortex_pool_population",\n'
+    '      "description": "planar pool of 2 m/s, 2.4 um elements at 6 Hz",\n'
+    '      "value": 19290123456.79012,\n'
+    '      "expected": 19000000000.0,\n'
+    '      "tolerance_mode": "relative",\n'
+    '      "tolerance": 0.05,\n'
+    '      "passed": true\n'
+    '    },\n'
+    '    {\n'
+    '      "name": "platform_pool_ratio",\n'
+    '      "description": "photonic vs biological synapse pool ratio, n=2",\n'
+    '      "value": 35900277008.31025,\n'
+    '      "expected": 36000000000.0,\n'
+    '      "tolerance_mode": "relative",\n'
+    '      "tolerance": 0.05,\n'
+    '      "passed": true\n'
+    '    },\n'
+    '    {\n'
+    '      "name": "picojoule_pulse",\n'
+    '      "description": "energy of a 1e7-photon pulse at 1.5 um",\n'
+    '      "value": 1.3242972380992858e-12,\n'
+    '      "expected": 1e-12,\n'
+    '      "tolerance_mode": "factor",\n'
+    '      "tolerance": 4.0,\n'
+    '      "passed": true\n'
+    '    },\n'
+    '    {\n'
+    '      "name": "milliwatt_neuron",\n'
+    '      "description": "device power of a 1e6-synapse node at 1 MHz",\n'
+    '      "value": 0.0013242972380992858,\n'
+    '      "expected": 0.001,\n'
+    '      "tolerance_mode": "factor",\n'
+    '      "tolerance": 4.0,\n'
+    '      "passed": true\n'
+    '    },\n'
+    '    {\n'
+    '      "name": "datacenter_pool_area",\n'
+    '      "description": "light-speed pool area at 1 MHz",\n'
+    '      "value": 89875.51787368178,\n'
+    '      "expected": 100000.0,\n'
+    '      "tolerance_mode": "factor",\n'
+    '      "tolerance": 4.0,\n'
+    '      "passed": true\n'
+    '    },\n'
+    '    {\n'
+    '      "name": "wafer_synapse_width",\n'
+    '      "description": "synapse width from 2e8 synapses on a 300 mm wafer",\n'
+    '      "value": 1.8799712059732504e-05,\n'
+    '      "expected": 1.9e-05,\n'
+    '      "tolerance_mode": "relative",\n'
+    '      "tolerance": 0.05,\n'
+    '      "passed": true\n'
+    '    }\n'
+    '  ]\n'
+    '}\n'
+)
+
+
+def test_paper_check_output_bytes_are_pinned(tmp_path: Path):
+    result = run_cli("paper-check", "--out", str(tmp_path))
+    assert result.returncode == 0
+    out_file = tmp_path / "paper_check.json"
+    assert result.stdout == PAPER_CHECK_STDOUT + f"wrote {out_file}\n"
+    assert out_file.read_text() == PAPER_CHECK_JSON
 
 
 def test_degree_csv_round_trip_via_out_dir(tmp_path: Path):

@@ -13,7 +13,6 @@ import pytest
 from lightcone import (
     HardwareProfile,
     Platform,
-    PoolQuery,
     PowerLaw,
     RandomGaussian,
     SampledGraph,
@@ -98,8 +97,8 @@ SURFACE = [
       for f in dataclasses.fields(HardwareProfile)],
     ("signal_velocity", lambda x: Platform(x, 1e-5)),
     ("element_width", lambda x: Platform(3e8, x)),
-    ("frequency", lambda x: PoolQuery(x)),
-    ("dimension", lambda x: PoolQuery(1.0, x)),
+    ("frequency", lambda x: pool_population(LIGHT, x)),
+    ("dimension", lambda x: pool_population(LIGHT, 1.0, x)),
     ("frequency", lambda x: pool_diameter(LIGHT, x)),
     ("frequency", lambda x: pool_area(LIGHT, x)),
     ("dimension", lambda x: pool_ratio(LIGHT, CORTEX, x)),
@@ -200,7 +199,7 @@ OVERFLOW = [
     (lambda: powerlaw_max_degree(PowerLaw(1.01), 1e8), CUTOFF_INPUTS),
     (lambda: network_area(1e8, PowerLaw(1.01), WAFER), CUTOFF_INPUTS),
     (lambda: wafer_area(1e200), ("diameter",)),
-    (lambda: pool_population(Platform(3.0e8, 1e-200), PoolQuery(1.0, 3)),
+    (lambda: pool_population(Platform(3.0e8, 1e-200), 1.0, 3),
      POOL_INPUTS),
     (lambda: pool_ratio(TINY_WIDTH, CORTEX), RATIO_INPUTS),
     # The divisor w_a * v_b underflows to 0.

@@ -719,6 +719,50 @@ class TestConvergenceWindows:
                                                                 threshold)
 
 
+def mask_window(trace, t0, t1):
+    """The fires in [t0, t1] picked by a mask."""
+    mask = (trace.times >= t0) & (trace.times <= t1)
+    return trace.times[mask], trace.nodes[mask]
+
+
+class TestInWindow:
+    def edge_trace(self):
+        times = np.array([0.5, 1.0, 1.0, 1.5, 2.0, 2.0, 2.5])
+        return SpikeTrace(times=times, nodes=np.arange(len(times)),
+                          n_nodes=len(times), natural_period=1.0,
+                          duration=3.0, n_events=len(times))
+
+    def test_spikes_on_both_edges_are_kept(self):
+        times, nodes = self.edge_trace().in_window(1.0, 2.0)
+        assert times.tolist() == [1.0, 1.0, 1.5, 2.0, 2.0]
+        assert nodes.tolist() == [1, 2, 3, 4, 5]
+        times, nodes = self.edge_trace().in_window(1.5, 1.5)
+        assert times.tolist() == [1.5] and nodes.tolist() == [3]
+
+    def test_end_before_start_gives_an_empty_window(self):
+        for t0, t1 in [(2.0, 1.0), (1.5, 1.0), (3.0, 0.0)]:
+            times, nodes = self.edge_trace().in_window(t0, t1)
+            assert len(times) == 0 and len(nodes) == 0
+
+    @pytest.mark.parametrize("side", [0.1, 1.0, 4.0])
+    def test_matches_mask_selection_on_engine_traces(self, side):
+        rng = np.random.default_rng(5)
+        trace = run(SimConfig(positions=rng.uniform(0, side, (32, 2)),
+                              signal_velocity=1.0, natural_period=1.0,
+                              duration=6.0,
+                              initial_phases=rng.uniform(0, 1.0, 32)))
+        assert (np.diff(trace.times) >= 0).all()
+        # Period edges, spike times themselves and bounds past the trace.
+        bounds = [-1.0, 0.0, 1.0, 3.0, 6.0, 7.0,
+                  *trace.times[[0, 7, len(trace.times) // 2, -1]]]
+        for t0 in bounds:
+            for t1 in bounds:
+                times, nodes = trace.in_window(t0, t1)
+                mask_times, mask_nodes = mask_window(trace, t0, t1)
+                assert np.array_equal(times, mask_times)
+                assert np.array_equal(nodes, mask_nodes)
+
+
 @st.composite
 def fire_and_window(draw):
     """A fire time t and refractory window r, with t + r finite."""
