@@ -53,7 +53,6 @@ from .pool import (
 from .sim import (
     SimConfig,
     SpikeTrace,
-    SweepResult,
     SweepRow,
     SynchronyReport,
     pairwise_delays,
@@ -77,6 +76,6 @@ __all__ = [
     "synapse_width_from_wafer", "system_power_density", "wafer_area",
     "Platform", "is_integrable", "max_frequency", "pool_area",
     "pool_diameter", "pool_population", "pool_ratio",
-    "SimConfig", "SpikeTrace", "SweepResult", "SweepRow", "SynchronyReport",
+    "SimConfig", "SpikeTrace", "SweepRow", "SynchronyReport",
     "pairwise_delays", "pool_sweep", "run", "synchrony_metrics",
 ]

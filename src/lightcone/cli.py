@@ -97,9 +97,8 @@ def emit_table(header: list[str], rows: list[list]) -> None:
     cells = [[_cell(v) for v in row] for row in rows]
     widths = [max(len(h), *(len(r[i]) for r in cells)) if cells else len(h)
               for i, h in enumerate(header)]
-    print("  ".join(h.ljust(w) for h, w in zip(header, widths)))
-    for row in cells:
-        print("  ".join(c.ljust(w) for c, w in zip(row, widths)))
+    for row in [header, *cells]:
+        print("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
 
 
 def _emit(args, header, rows, filename) -> None:
@@ -286,7 +285,7 @@ def cmd_simulate(args) -> int:
     print(f"spikes: {len(trace.times)}")
     print(f"events: {trace.n_events}")
     print(f"order_parameter: {sci(report.order_parameter)}")
-    print(f"lock_threshold: {sci(report.lock_threshold)}")
+    print(f"lock_threshold: {sci(config.lock_threshold)}")
     print(f"locked: {'yes' if report.locked else 'no'}")
     if report.convergence_time is not None:
         print(f"convergence_time_s: {sci(report.convergence_time)}")
@@ -307,9 +306,8 @@ def cmd_sweep(args) -> int:
     override = (_parse_floats(args.diameters, "--diameters")
                 if args.diameters is not None else None)
     diameters, seeds = build_sweep(config, base, override, args.n_seeds)
-    result = pool_sweep(base, diameters, seeds)
     rows = [[row.diameter_over_vt, row.mean_order_parameter, row.stderr]
-            for row in result.rows]
+            for row in pool_sweep(base, diameters, seeds)]
     _emit(args, ["diameter_over_vT", "mean_order_parameter", "stderr"],
           rows, "sweep.csv")
     return EXIT_OK

@@ -85,7 +85,6 @@ __all__ = [
     "SpikeTrace",
     "SynchronyReport",
     "SweepRow",
-    "SweepResult",
     "pairwise_delays",
     "run",
     "synchrony_metrics",
@@ -208,8 +207,6 @@ class SynchronyReport:
 
     order_parameter: float
     locked: bool
-    lock_threshold: float
-    per_node_phase: np.ndarray
     convergence_time: float | None
     n_spikes: int
 
@@ -222,19 +219,6 @@ class SweepRow:
     mean_order_parameter: float
     stderr: float
     order_parameters: tuple[float, ...]
-
-
-@dataclass(frozen=True)
-class SweepResult:
-    """Sweep table plus the parameters the cells shared."""
-
-    rows: tuple[SweepRow, ...]
-    n_nodes: int
-    signal_velocity: float
-    natural_period: float
-    coupling_strength: float
-    lock_threshold: float
-    seeds: tuple[int, ...]
 
 
 def _delays(pos: np.ndarray, sources: np.ndarray, targets: np.ndarray,
@@ -494,14 +478,10 @@ def run(config: SimConfig) -> SpikeTrace:
     )
 
 
-def _phase_angles(times: np.ndarray, period: float) -> np.ndarray:
-    """Fire times modulo ``period``, as angles in [0, 2*pi)."""
-    return 2.0 * np.pi * ((times % period) / period)
-
-
 def _order_parameter(times: np.ndarray, period: float) -> float:
     """Magnitude of the circular mean of fire times modulo ``period``."""
-    return float(abs(np.exp(1j * _phase_angles(times, period)).mean()))
+    angles = 2.0 * np.pi * ((times % period) / period)
+    return float(abs(np.exp(1j * angles).mean()))
 
 
 def synchrony_metrics(trace: SpikeTrace, window: float | None = None,
@@ -525,21 +505,12 @@ def synchrony_metrics(trace: SpikeTrace, window: float | None = None,
         window = min(DEFAULT_ANALYSIS_PERIODS * period, trace.duration)
     check_number("window", window, gt=0.0, le=trace.duration)
     t0 = trace.duration - window
-    times, nodes = trace.in_window(t0, trace.duration)
+    times, _ = trace.in_window(t0, trace.duration)
     if len(times) == 0:
         raise ValueError(
             f"no spikes in the analysis window [{t0}, {trace.duration}]"
         )
     order = _order_parameter(times, period)
-
-    # Each node's circular mean phase: the angle of its phasor sum.
-    angles = _phase_angles(times, period)
-    n = trace.n_nodes
-    re = np.bincount(nodes, weights=np.cos(angles), minlength=n)
-    im = np.bincount(nodes, weights=np.sin(angles), minlength=n)
-    mean_angle = np.arctan2(im, re)
-    per_node = np.where(np.bincount(nodes, minlength=n) > 0,
-                        (mean_angle / (2.0 * np.pi)) % 1.0 * period, np.nan)
 
     # Trace times never decrease, so period k's spikes, [k T, (k+1) T),
     # are the slice between the first indices at or past its two edges.
@@ -559,15 +530,13 @@ def synchrony_metrics(trace: SpikeTrace, window: float | None = None,
     return SynchronyReport(
         order_parameter=order,
         locked=order >= lock_threshold,
-        lock_threshold=lock_threshold,
-        per_node_phase=per_node,
         convergence_time=converged_from,
         n_spikes=len(times),
     )
 
 
 def pool_sweep(base: SimConfig, diameters: list[float],
-               seeds: list[int]) -> SweepResult:
+               seeds: list[int]) -> tuple[SweepRow, ...]:
     """Order parameter versus pool diameter, averaged over seeds.
 
     For each (diameter, seed) cell the nodes are placed uniformly at
@@ -577,7 +546,8 @@ def pool_sweep(base: SimConfig, diameters: list[float],
     (the diameter only rescales the geometry), so the zero-coupling null
     control is exactly diameter-independent. Cells are independent and
     aggregated by cell key, so the table does not depend on evaluation
-    order.
+    order. Returns one row per diameter, in the order given, each with
+    its per-seed order parameters.
     """
     if len(diameters) < 1:
         raise ValueError("at least one diameter is required")
@@ -604,10 +574,7 @@ def pool_sweep(base: SimConfig, diameters: list[float],
             unit, phases = placements[seed]
             config = replace(base, positions=unit * diameter,
                              initial_phases=phases, seed=seed)
-            trace = run(config)
-            report = synchrony_metrics(trace,
-                                       lock_threshold=base.lock_threshold)
-            values.append(report.order_parameter)
+            values.append(synchrony_metrics(run(config)).order_parameter)
         arr = np.asarray(values)
         stderr = float(arr.std(ddof=1) / math.sqrt(len(arr))) if len(arr) > 1 else 0.0
         rows.append(SweepRow(
@@ -616,13 +583,4 @@ def pool_sweep(base: SimConfig, diameters: list[float],
             stderr=stderr,
             order_parameters=tuple(float(v) for v in arr),
         ))
-
-    return SweepResult(
-        rows=tuple(rows),
-        n_nodes=n,
-        signal_velocity=base.signal_velocity,
-        natural_period=T,
-        coupling_strength=base.coupling_strength,
-        lock_threshold=base.lock_threshold,
-        seeds=tuple(int(s) for s in seeds),
-    )
+    return tuple(rows)

@@ -201,16 +201,16 @@ def test_criterion_10_light_cone_property():
 
     coupled = sweep(0.3)
     means = {row.diameter_over_vt: row.mean_order_parameter
-             for row in coupled.rows}
+             for row in coupled}
     contrast = means[0.1] - means[4.0]
 
     null = sweep(0.0)
-    null_means = [row.mean_order_parameter for row in null.rows]
+    null_means = [row.mean_order_parameter for row in null]
     null_spread = max(null_means) - min(null_means)
 
     curve = ", ".join(f"{row.diameter_over_vt:g}: "
                       f"{row.mean_order_parameter:.3f}"
-                      for row in coupled.rows)
+                      for row in coupled)
     report(10, contrast >= 0.3 and null_spread <= 0.05,
            f"order parameter by d/vT {{{curve}}}; contrast "
            f"R(0.1) - R(4) = {contrast:.3f} (need >= 0.3); null-control "

@@ -121,7 +121,7 @@ def test_pool_sweep_csv_round_trips(tmp_path: Path):
 POOL_BYTES = {
     "planar-table": (
         ("pool", "--f", "6"),
-        "frequency    diameter_m   area_m2      population \n"
+        "frequency    diameter_m   area_m2      population\n"
         "6.00000e+00  4.99654e+07  2.49654e+15  6.91563e+24\n"
         "\n"
         "earth-surface square side (m): 2.25832e+07\n"
@@ -500,12 +500,16 @@ FINITE = (st.floats(allow_nan=False, allow_infinity=False)
 FLOAT_FLAGS = {
     "degree": ("--n-min", "--n-max", "--k-min", "--k-max", "--alpha",
                "--path-length"),
-    "pool": ("--v", "--w", "--f", "--f-min", "--f-max"),
+    "pool": ("--v", "--w"),
     "area": ("--n-min", "--n-max", "--alpha", "--k-min", "--k-max",
              "--mean-degree", "--degrees"),
     "power": ("--degree", "--frequency", "--n-total", "--rate", "--alpha",
               "--k-min", "--mean-degree"),
 }
+# The float flags a command needs, one group drawn per call: pool takes
+# --f alone or the --f-min/--f-max pair. A mix exits 2 before any
+# formula runs, which test_pool_frequency_flag_mix_is_usage_error covers.
+REQUIRED_FLOATS = {"pool": [("--f",), ("--f-min", "--f-max")]}
 # One choice from each group of the other flags. The grids stay small:
 # 2 points per decade already span 600 rows from 2 to the largest float.
 OTHER_FLAGS = {
@@ -522,8 +526,10 @@ OTHER_FLAGS = {
 def closed_form_argv(draw):
     command = draw(st.sampled_from(sorted(FLOAT_FLAGS)))
     other = [draw(st.sampled_from(group)) for group in OTHER_FLAGS[command]]
+    required = draw(st.sampled_from(REQUIRED_FLOATS.get(command, [()])))
     floats = draw(st.fixed_dictionaries(
-        {}, optional={flag: FINITE for flag in FLOAT_FLAGS[command]}))
+        dict.fromkeys(required, FINITE),
+        optional={flag: FINITE for flag in FLOAT_FLAGS[command]}))
     return [command, *" ".join(other).split(),
             draw(st.sampled_from(("--format=csv", "--format=table"))),
             *(f"{flag}={value!r}" for flag, value in floats.items())]

@@ -440,47 +440,6 @@ class TestSynchronyMetrics:
         assert not report.locked
         assert report.convergence_time is None
 
-    def test_per_node_phase_reported(self):
-        config = SimConfig(positions=np.zeros((2, 2)), signal_velocity=1.0,
-                           natural_period=1.0, duration=10.0,
-                           coupling_strength=0.0,
-                           initial_phases=np.array([0.0, 0.5]))
-        report = synchrony_metrics(run(config))
-        assert report.per_node_phase.shape == (2,)
-        gap = abs(report.per_node_phase[0] - report.per_node_phase[1])
-        assert min(gap, 1.0 - gap) == pytest.approx(0.5, abs=1e-9)
-
-    @pytest.mark.parametrize("side", [0.1, 1.0, 4.0])
-    def test_per_node_phase_matches_per_node_loop(self, side):
-        # A 64-node, 3-period cell; node 5's spikes are removed, so it
-        # must come out NaN.
-        rng = np.random.default_rng(11)
-        trace = run(SimConfig(positions=rng.uniform(0, side, (64, 2)),
-                              signal_velocity=1.0, natural_period=1.0,
-                              duration=3.0,
-                              initial_phases=rng.uniform(0, 1.0, 64)))
-        keep = trace.nodes != 5
-        trace = type(trace)(times=trace.times[keep], nodes=trace.nodes[keep],
-                            n_nodes=64, natural_period=1.0, duration=3.0,
-                            n_events=trace.n_events)
-        report = synchrony_metrics(trace)
-        times, nodes = trace.in_window(0.0, 3.0)
-        period = trace.natural_period
-        looped = np.full(64, np.nan)
-        for i in range(64):
-            own = times[nodes == i]
-            if len(own):
-                angles = 2.0 * np.pi * ((own % period) / period)
-                mean_angle = np.angle(np.exp(1j * angles).mean())
-                looped[i] = (mean_angle / (2.0 * np.pi)) % 1.0 * period
-        assert np.array_equal(np.isnan(report.per_node_phase),
-                              np.isnan(looped))
-        assert np.isnan(looped[5]) and np.isnan(looped).sum() == 1
-        spiked = ~np.isnan(looped)
-        gap = np.abs(report.per_node_phase[spiked] - looped[spiked]) % period
-        # Distance around the circle: 0 and period are the same phase.
-        assert np.minimum(gap, period - gap).max() <= 1e-12
-
     def test_default_window_is_whole_trace_when_shorter(self):
         trace = run(two_node_config(0.1, duration=3.0))
         default = synchrony_metrics(trace)
@@ -488,7 +447,6 @@ class TestSynchronyMetrics:
         assert default.order_parameter == explicit.order_parameter
         assert default.n_spikes == explicit.n_spikes
         assert default.convergence_time == explicit.convergence_time
-        assert np.array_equal(default.per_node_phase, explicit.per_node_phase)
 
     @pytest.mark.parametrize("threshold", [0.0, 1.5, math.nan])
     def test_lock_threshold_out_of_range_rejected(self, threshold):

@@ -20,19 +20,19 @@ def base_config(n_nodes=16, coupling=0.3, duration=25.0):
 
 class TestPoolSweep:
     def test_single_cell_gives_one_row(self):
-        result = pool_sweep(base_config(), [0.2], [0])
-        assert len(result.rows) == 1
-        row = result.rows[0]
+        rows = pool_sweep(base_config(), [0.2], [0])
+        assert len(rows) == 1
+        row = rows[0]
         assert row.diameter_over_vt == pytest.approx(0.2)
         assert row.stderr == 0.0
         assert len(row.order_parameters) == 1
 
     def test_rows_follow_requested_diameters(self):
-        result = pool_sweep(base_config(), [0.1, 1.0, 4.0], [0, 1, 2])
-        assert [row.diameter_over_vt for row in result.rows] == pytest.approx(
+        rows = pool_sweep(base_config(), [0.1, 1.0, 4.0], [0, 1, 2])
+        assert [row.diameter_over_vt for row in rows] == pytest.approx(
             [0.1, 1.0, 4.0]
         )
-        assert all(len(row.order_parameters) == 3 for row in result.rows)
+        assert all(len(row.order_parameters) == 3 for row in rows)
 
     def test_deterministic(self):
         a = pool_sweep(base_config(), [0.1, 2.0], [0, 1])
@@ -40,14 +40,12 @@ class TestPoolSweep:
         assert a == b
 
     def test_tight_pool_beats_distended_pool(self):
-        result = pool_sweep(base_config(), [0.1, 4.0], [0, 1, 2, 3])
-        tight, wide = result.rows[0], result.rows[1]
+        tight, wide = pool_sweep(base_config(), [0.1, 4.0], [0, 1, 2, 3])
         assert tight.mean_order_parameter > wide.mean_order_parameter + 0.3
 
     def test_non_increasing_beyond_transition(self):
-        result = pool_sweep(base_config(), [0.5, 1.0, 2.0, 4.0],
-                            list(range(6)))
-        rows = result.rows
+        rows = pool_sweep(base_config(), [0.5, 1.0, 2.0, 4.0],
+                          list(range(6)))
         for earlier, later in zip(rows, rows[1:]):
             slack = 2.0 * (earlier.stderr + later.stderr)
             assert later.mean_order_parameter <= (
@@ -55,11 +53,11 @@ class TestPoolSweep:
             )
 
     def test_zero_coupling_null_control_is_diameter_independent(self):
-        result = pool_sweep(base_config(coupling=0.0), [0.1, 1.0, 4.0],
-                            [0, 1, 2])
-        means = [row.mean_order_parameter for row in result.rows]
+        rows = pool_sweep(base_config(coupling=0.0), [0.1, 1.0, 4.0],
+                          [0, 1, 2])
+        means = [row.mean_order_parameter for row in rows]
         assert means[0] == means[1] == means[2]
-        assert result.rows[0].order_parameters == result.rows[2].order_parameters
+        assert rows[0].order_parameters == rows[2].order_parameters
 
     def test_complete_graph_base_matches_all_to_all(self):
         base = base_config()
@@ -67,8 +65,8 @@ class TestPoolSweep:
         complete = SampledGraph(n_nodes=16, indptr=adjacency.indptr,
                                 indices=adjacency.indices, seed=0)
         graph_base = dataclasses.replace(base, topology=complete)
-        assert (pool_sweep(graph_base, [0.1, 2.0], [0, 1]).rows
-                == pool_sweep(base, [0.1, 2.0], [0, 1]).rows)
+        assert (pool_sweep(graph_base, [0.1, 2.0], [0, 1])
+                == pool_sweep(base, [0.1, 2.0], [0, 1]))
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
