@@ -199,8 +199,7 @@ def _pool_frequencies(args) -> list[float]:
 
 
 def cmd_pool(args) -> int:
-    platform = Platform(signal_velocity=args.v, element_width=args.w,
-                        element_kind=args.kind)
+    platform = Platform(signal_velocity=args.v, element_width=args.w)
     rows = [[f, pool_diameter(platform, f),
              pool_area(platform, f) if args.n == 2 else "",
              pool_population(platform, f, args.n)]
@@ -404,7 +403,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="signal velocity in m/s (default: light speed)")
     p.add_argument("--w", type=_finite_float, default=1.9e-5,
                    help="element width in m")
-    p.add_argument("--kind", choices=("neuron", "synapse"), default="synapse")
     p.add_argument("--n", type=int, choices=(1, 2, 3), default=2,
                    help="spatial dimension")
     p.add_argument("--f", type=_finite_float, default=None,

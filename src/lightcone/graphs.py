@@ -108,15 +108,12 @@ class SampledGraph:
     ``indices[indptr[i]:indptr[i + 1]]``. Every edge appears in both of
     its rows, with no self-loops, and node ids are dense in [0, n_nodes).
     Sampled graphs store each row's neighbours in increasing order, in
-    int32. ``target_degrees`` keeps the drawn (pre-cleanup) degree
-    sequence for power-law samples.
+    int32.
     """
 
     n_nodes: int
     indptr: np.ndarray
     indices: np.ndarray
-    seed: int
-    target_degrees: np.ndarray | None = None
 
     def __post_init__(self):
         n = check_integer("n_nodes", self.n_nodes, ge=0)
@@ -432,7 +429,6 @@ def sample_graph(dist: DegreeDistribution, n_total: int, seed: int) -> SampledGr
     """
     check_integer("n_total", n_total, ge=2)
     rng = np.random.default_rng(seed)
-    target: np.ndarray | None = None
     if isinstance(dist, RandomGaussian):
         kbar = avg_degree_random(dist.n_total, dist.avg_path_length)
         if kbar > n_total - 1:
@@ -465,14 +461,12 @@ def sample_graph(dist: DegreeDistribution, n_total: int, seed: int) -> SampledGr
             degrees[bump] += 1
             if degrees[bump] >= n_total:
                 degrees[bump] -= 2
-        target = degrees
         counts, cols = _configuration_edges(degrees, rng)
     else:
         raise TypeError(f"unsupported distribution type: {type(dist)!r}")
 
     indptr, indices = _symmetric_csr(counts, cols, n_total)
-    return SampledGraph(n_nodes=n_total, indptr=indptr, indices=indices,
-                        seed=seed, target_degrees=target)
+    return SampledGraph(n_nodes=n_total, indptr=indptr, indices=indices)
 
 
 def _reduce_segments(ufunc: np.ufunc, values: np.ndarray, edges: np.ndarray,

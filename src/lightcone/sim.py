@@ -185,7 +185,6 @@ class SpikeTrace:
 
     times: np.ndarray
     nodes: np.ndarray
-    n_nodes: int
     natural_period: float
     duration: float
     n_events: int
@@ -441,13 +440,13 @@ def run(config: SimConfig) -> SpikeTrace:
         # Node i fires at t.
         fire_times.append(t)
         fire_nodes.append(i)
-        ready[i] = _refractory_end(t, refractory)
         origin[i] = t
         version[i] += 1
         if t + T <= duration:
             heappush(heap, (t + T, i, seq, _FIRE, version[i], None, None, 0))
             events += 1
         if couple:
+            ready[i] = _refractory_end(t, refractory)
             delays, targets, fan = (_arrival_order(lanes[i], tied[i], t)
                                     if i in tied else lanes[i])
             # The cursor stops at the first arrival after the duration.
@@ -471,7 +470,6 @@ def run(config: SimConfig) -> SpikeTrace:
     return SpikeTrace(
         times=np.asarray(fire_times, dtype=float),
         nodes=np.asarray(fire_nodes, dtype=np.int64),
-        n_nodes=n,
         natural_period=T,
         duration=duration,
         n_events=events,
@@ -482,6 +480,22 @@ def _order_parameter(times: np.ndarray, period: float) -> float:
     """Magnitude of the circular mean of fire times modulo ``period``."""
     angles = 2.0 * np.pi * ((times % period) / period)
     return float(abs(np.exp(1j * angles).mean()))
+
+
+def _trailing_window(trace: SpikeTrace,
+                     window: float | None = None) -> np.ndarray:
+    """Fire times in a trace's trailing ``window`` (see synchrony_metrics)."""
+    if window is None:
+        window = min(DEFAULT_ANALYSIS_PERIODS * trace.natural_period,
+                     trace.duration)
+    check_number("window", window, gt=0.0, le=trace.duration)
+    t0 = trace.duration - window
+    times, _ = trace.in_window(t0, trace.duration)
+    if len(times) == 0:
+        raise ValueError(
+            f"no spikes in the analysis window [{t0}, {trace.duration}]"
+        )
+    return times
 
 
 def synchrony_metrics(trace: SpikeTrace, window: float | None = None,
@@ -501,15 +515,7 @@ def synchrony_metrics(trace: SpikeTrace, window: float | None = None,
     """
     check_number("lock_threshold", lock_threshold, gt=0.0, le=1.0)
     period = trace.natural_period
-    if window is None:
-        window = min(DEFAULT_ANALYSIS_PERIODS * period, trace.duration)
-    check_number("window", window, gt=0.0, le=trace.duration)
-    t0 = trace.duration - window
-    times, _ = trace.in_window(t0, trace.duration)
-    if len(times) == 0:
-        raise ValueError(
-            f"no spikes in the analysis window [{t0}, {trace.duration}]"
-        )
+    times = _trailing_window(trace, window)
     order = _order_parameter(times, period)
 
     # Trace times never decrease, so period k's spikes, [k T, (k+1) T),
@@ -547,7 +553,7 @@ def pool_sweep(base: SimConfig, diameters: list[float],
     control is exactly diameter-independent. Cells are independent and
     aggregated by cell key, so the table does not depend on evaluation
     order. Returns one row per diameter, in the order given, each with
-    its per-seed order parameters.
+    its per-seed order parameters, as ``synchrony_metrics`` gives them.
     """
     if len(diameters) < 1:
         raise ValueError("at least one diameter is required")
@@ -574,7 +580,7 @@ def pool_sweep(base: SimConfig, diameters: list[float],
             unit, phases = placements[seed]
             config = replace(base, positions=unit * diameter,
                              initial_phases=phases, seed=seed)
-            values.append(synchrony_metrics(run(config)).order_parameter)
+            values.append(_order_parameter(_trailing_window(run(config)), T))
         arr = np.asarray(values)
         stderr = float(arr.std(ddof=1) / math.sqrt(len(arr))) if len(arr) > 1 else 0.0
         rows.append(SweepRow(

@@ -161,7 +161,6 @@ def reference_run(config: SimConfig, record_audit: bool = False
     return ReferenceTrace(
         times=np.asarray(fire_times, dtype=float),
         nodes=np.asarray(fire_nodes, dtype=np.int64),
-        n_nodes=n,
         natural_period=T,
         duration=duration,
         n_events=pops,

@@ -96,8 +96,8 @@ def test_degree_empty_grid_is_usage_error():
 
 
 def test_pool_reports_cortex_population():
-    result = run_cli("pool", "--v", "2", "--w", "2.4e-6", "--kind", "neuron",
-                     "--f", "6", "--n", "2")
+    result = run_cli("pool", "--v", "2", "--w", "2.4e-6", "--f", "6",
+                     "--n", "2")
     assert result.returncode == 0
     assert "1.92901e+10" in result.stdout
 
@@ -419,6 +419,7 @@ def test_result_past_the_float_range_is_usage_error(tmp_path: Path, args):
     ("pool", "--f", "6", "--config", "x.json"),
     ("sweep", "--seed", "1"),
     ("paper-check", "--format", "csv"),
+    ("pool", "--f", "6", "--kind", "neuron"),
 ])
 def test_flag_the_subcommand_does_not_read_is_usage_error(args):
     result = run_cli(*args)

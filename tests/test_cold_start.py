@@ -58,8 +58,7 @@ if part == "graph":
                   graph.indptr[-1] + np.array([2, 4, 6], dtype=np.int32)),
         np.append(graph.indices,
                   np.array([n + 1, n + 2, n, n + 2, n, n + 1],
-                           dtype=np.int32)),
-        seed=0)
+                           dtype=np.int32)))
     report["split"] = dataclasses.asdict(
         lightcone.measure_avg_path_length(split, source_sample=256))
 else:

@@ -128,7 +128,7 @@ def topologies(draw, n):
         adjacency = sp.csr_matrix(
             (adjacency.data, indices, adjacency.indptr), shape=(n, n))
     return SampledGraph(n_nodes=n, indptr=adjacency.indptr,
-                        indices=adjacency.indices, seed=0)
+                        indices=adjacency.indices)
 
 
 @st.composite

@@ -49,8 +49,7 @@ def graph_from_edges(n, edges):
     rows = [i for i, _ in edges] + [j for _, j in edges]
     cols = [j for _, j in edges] + [i for i, _ in edges]
     adj = sp.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
-    return SampledGraph(n_nodes=n, indptr=adj.indptr, indices=adj.indices,
-                        seed=0)
+    return SampledGraph(n_nodes=n, indptr=adj.indptr, indices=adj.indices)
 
 
 def expand_edges(sampled, n):
@@ -320,8 +319,10 @@ class TestSampleGraph:
         assert abs(graph.degrees.mean() - 50.0) <= 2.5
 
     def test_powerlaw_degrees_respect_k_min_before_cleanup(self):
-        graph = sample_graph(PowerLaw(alpha=2.5, k_min=2.0), 1000, seed=3)
-        assert graph.target_degrees.min() >= 2
+        # The sampler's first draws, the degrees before parity and cleanup.
+        degrees = sample_powerlaw_degrees(PowerLaw(alpha=2.5, k_min=2.0),
+                                          1000, np.random.default_rng(3))
+        assert degrees.min() >= 2
 
     @pytest.mark.parametrize("dist", [
         RandomGaussian(n_total=2000, avg_path_length=2.0),
@@ -403,7 +404,7 @@ class TestSampleGraph:
         for row in range(graph.n_nodes):
             start, end = graph.indptr[row:row + 2]
             indices[start:end] = rng.permutation(indices[start:end])
-        shuffled = SampledGraph(graph.n_nodes, graph.indptr, indices, seed=0)
+        shuffled = SampledGraph(graph.n_nodes, graph.indptr, indices)
         assert shuffled.edge_array().tobytes() == reference.tobytes()
 
     def test_sampling_peaks_near_what_the_adjacency_holds(self):
@@ -457,7 +458,7 @@ class TestSampleGraph:
         rows, cols = np.array(edges, dtype=np.int64).reshape(-1, 2).T
         indptr, indices = _symmetric_csr(np.bincount(rows, minlength=n),
                                          cols.astype(np.int32), n)
-        assert_same_csr(SampledGraph(n, indptr, indices, seed=0),
+        assert_same_csr(SampledGraph(n, indptr, indices),
                         reference_adjacency(rows, cols, n))
 
     def test_infeasible_degree_sequence_rejected(self):
@@ -513,7 +514,8 @@ class TestSampleGraph:
             model.append(tail + round_up)
         model = np.asarray(model)
         for seed in (0, 1, 2, 3):
-            degrees = sample_graph(dist, n, seed=seed).target_degrees
+            degrees = sample_powerlaw_degrees(dist, n,
+                                              np.random.default_rng(seed))
             empirical = np.asarray([(degrees >= k).mean() for k in ks])
             assert np.abs(empirical - model).max() <= 0.02
 
@@ -618,7 +620,7 @@ class TestRowsSpanChunks:
         else:
             want = reference_er_edge_list(n, p, np.random.default_rng(seed))
         assert_same_edges(expand_edges(sampled, n), want)
-        assert_same_csr(SampledGraph(n, indptr, indices, seed=0),
+        assert_same_csr(SampledGraph(n, indptr, indices),
                         reference_adjacency(*want, n))
 
     @pytest.mark.parametrize("n,draws", [
@@ -938,8 +940,7 @@ def with_detached_triangle(graph):
     return SampledGraph(n + 3,
                         np.concatenate([graph.indptr,
                                         graph.indptr[-1] + tail]),
-                        np.concatenate([graph.indices, triangle]),
-                        seed=graph.seed)
+                        np.concatenate([graph.indices, triangle]))
 
 
 @st.composite

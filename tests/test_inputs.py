@@ -115,9 +115,9 @@ SURFACE = [
     ("seeds", lambda x: pool_sweep(SIM_BASE, [1.0], [0, x])),
     ("lock_threshold", lambda x: synchrony_metrics(TRACE, lock_threshold=x)),
     ("window", lambda x: synchrony_metrics(TRACE, window=x)),
-    ("n_nodes", lambda x: SampledGraph(x, INDPTR, INDICES, seed=0)),
-    ("indptr", lambda x: SampledGraph(2, x, INDICES, seed=0)),
-    ("indices", lambda x: SampledGraph(2, INDPTR, x, seed=0)),
+    ("n_nodes", lambda x: SampledGraph(x, INDPTR, INDICES)),
+    ("indptr", lambda x: SampledGraph(2, x, INDICES)),
+    ("indices", lambda x: SampledGraph(2, INDPTR, x)),
 ]
 
 
@@ -150,10 +150,9 @@ def test_float_array_error_names_a_python_float(dtype, bad, bounds):
 
 
 def test_valid_csr_accepted():
-    graph = SampledGraph(2, INDPTR, INDICES, seed=0)
+    graph = SampledGraph(2, INDPTR, INDICES)
     assert graph.n_edges == 1
-    assert SampledGraph(0, np.array([0]), np.array([], dtype=int),
-                        seed=0).n_edges == 0
+    assert SampledGraph(0, np.array([0]), np.array([], dtype=int)).n_edges == 0
 
 
 # (field the message names, n_nodes, indptr, indices): not a CSR of
@@ -180,7 +179,7 @@ BAD_CSR = [
                               enumerate(BAD_CSR)])
 def test_bad_csr_rejected_by_name(name, n_nodes, indptr, indices):
     with pytest.raises(ValueError) as info:
-        SampledGraph(n_nodes, indptr, indices, seed=0)
+        SampledGraph(n_nodes, indptr, indices)
     assert str(info.value).split(" ")[0] == name
 
 

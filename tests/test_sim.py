@@ -191,7 +191,7 @@ def graph_config(graph, coupling=0.3):
 def graph_of(dense: np.ndarray) -> SampledGraph:
     adjacency = sp.csr_matrix(dense)
     return SampledGraph(n_nodes=len(dense), indptr=adjacency.indptr,
-                        indices=adjacency.indices, seed=0)
+                        indices=adjacency.indices)
 
 
 def same_trace(a, b) -> bool:
@@ -223,7 +223,7 @@ class TestSampledTopology:
             positions=np.random.default_rng(0).uniform(0, 1, (n, 2)),
             signal_velocity=1.0, natural_period=1.0, duration=1.0,
             topology=SampledGraph(n_nodes=n, indptr=ring.indptr,
-                                  indices=ring.indices, seed=0))
+                                  indices=ring.indices))
         tracemalloc.start()
         try:
             run(config)
@@ -469,7 +469,7 @@ class TestSynchronyMetrics:
         trace = run(config)
         pruned = type(trace)(times=trace.times[trace.times < 2.0],
                              nodes=trace.nodes[trace.times < 2.0],
-                             n_nodes=1, natural_period=1.0, duration=10.0,
+                             natural_period=1.0, duration=10.0,
                              n_events=trace.n_events)
         with pytest.raises(ValueError, match="no spikes"):
             synchrony_metrics(pruned, window=1.0)
@@ -556,7 +556,7 @@ def powerlaw_with_isolated_nodes():
     adjacency = (cut @ as_csr_matrix(graph) @ cut).tocsr()
     adjacency.eliminate_zeros()
     return SampledGraph(n_nodes=120, indptr=adjacency.indptr,
-                        indices=adjacency.indices, seed=3)
+                        indices=adjacency.indices)
 
 
 class TestLaneOrder:
@@ -650,8 +650,8 @@ class TestConvergenceWindows:
         mids = [k * period + 0.35 for k in range(6)]
         times = np.array(sorted(mids + [1 * period, 2 * period]))
         trace = SpikeTrace(times=times, nodes=np.zeros(len(times), np.int64),
-                           n_nodes=1, natural_period=period,
-                           duration=6 * period, n_events=len(times))
+                           natural_period=period, duration=6 * period,
+                           n_events=len(times))
         report = synchrony_metrics(trace, lock_threshold=0.9)
         assert report.convergence_time == 3 * period
         assert report.convergence_time == mask_loop_convergence(trace, 0.9)
@@ -668,7 +668,7 @@ class TestConvergenceWindows:
         times = trace.times.copy()
         times[::40] = np.floor(times[::40])
         times = np.maximum.accumulate(times)
-        edged = SpikeTrace(times=times, nodes=trace.nodes, n_nodes=32,
+        edged = SpikeTrace(times=times, nodes=trace.nodes,
                            natural_period=1.0, duration=12.0,
                            n_events=trace.n_events)
         assert (edged.times == np.floor(edged.times)).any()
@@ -687,8 +687,8 @@ class TestInWindow:
     def edge_trace(self):
         times = np.array([0.5, 1.0, 1.0, 1.5, 2.0, 2.0, 2.5])
         return SpikeTrace(times=times, nodes=np.arange(len(times)),
-                          n_nodes=len(times), natural_period=1.0,
-                          duration=3.0, n_events=len(times))
+                          natural_period=1.0, duration=3.0,
+                          n_events=len(times))
 
     def test_spikes_on_both_edges_are_kept(self):
         times, nodes = self.edge_trace().in_window(1.0, 2.0)

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from lightcone import SampledGraph, SimConfig, pool_sweep
+from lightcone import (SampledGraph, SimConfig, pool_sweep, run,
+                       synchrony_metrics)
 
 
 def base_config(n_nodes=16, coupling=0.3, duration=25.0):
@@ -59,11 +60,31 @@ class TestPoolSweep:
         assert means[0] == means[1] == means[2]
         assert rows[0].order_parameters == rows[2].order_parameters
 
+    @pytest.mark.parametrize("coupling", [0.3, 0.0])
+    def test_order_parameters_match_synchrony_metrics(self, coupling):
+        # 25 periods against the 10-period default window, so each cell's
+        # window is a strict suffix of its trace.
+        base = base_config(coupling=coupling, duration=25.0)
+        diameters, seeds = [0.1, 1.0, 4.0], [0, 1, 2]
+        rows = pool_sweep(base, diameters, seeds)
+        for diameter, row in zip(diameters, rows):
+            for seed, value in zip(seeds, row.order_parameters):
+                # Each cell's placement and phases, drawn as pool_sweep does.
+                rng = np.random.default_rng(seed)
+                unit = rng.uniform(0.0, 1.0, size=(16, 2))
+                phases = rng.uniform(0.0, 1.0, size=16)
+                trace = run(dataclasses.replace(
+                    base, positions=unit * diameter, initial_phases=phases,
+                    seed=seed))
+                assert trace.times[0] < trace.duration - 10.0
+                report = synchrony_metrics(trace)
+                assert value == report.order_parameter
+
     def test_complete_graph_base_matches_all_to_all(self):
         base = base_config()
         adjacency = sp.csr_matrix(np.ones((16, 16)) - np.eye(16))
         complete = SampledGraph(n_nodes=16, indptr=adjacency.indptr,
-                                indices=adjacency.indices, seed=0)
+                                indices=adjacency.indices)
         graph_base = dataclasses.replace(base, topology=complete)
         assert (pool_sweep(graph_base, [0.1, 2.0], [0, 1])
                 == pool_sweep(base, [0.1, 2.0], [0, 1]))
