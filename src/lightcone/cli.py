@@ -53,6 +53,7 @@ from .hardware import (
 )
 from .pool import (
     Platform,
+    is_integrable,
     max_frequency,
     pool_area,
     pool_diameter,
@@ -208,13 +209,13 @@ def cmd_pool(args) -> int:
           rows, "pool.csv")
     if args.format == "table" and args.out is None:
         side = EARTH_SURFACE_AREA ** 0.5
-        f_earth = max_frequency(platform, side)
         lo, hi = THETA_BAND_HZ
         print()
         print(f"earth-surface square side (m): {sci(side)}")
-        print(f"max integrable frequency at that extent (Hz): {sci(f_earth)}")
+        print(f"max integrable frequency at that extent (Hz): "
+              f"{sci(max_frequency(platform, side))}")
         print(f"theta band [{lo:g}, {hi:g}] Hz integrable at earth scale: "
-              f"{'yes' if f_earth >= hi else 'no'}")
+              f"{'yes' if is_integrable(platform, side, hi) else 'no'}")
     return EXIT_OK
 
 
@@ -304,7 +305,7 @@ def cmd_sweep(args) -> int:
     base = build_sim_config(config)
     override = (_parse_floats(args.diameters, "--diameters")
                 if args.diameters is not None else None)
-    diameters, seeds = build_sweep(config, base, override, args.n_seeds)
+    diameters, seeds = build_sweep(config, override, args.n_seeds)
     rows = [[row.diameter_over_vt, row.mean_order_parameter, row.stderr]
             for row in pool_sweep(base, diameters, seeds)]
     _emit(args, ["diameter_over_vT", "mean_order_parameter", "stderr"],

@@ -61,7 +61,6 @@ _TOP_KEYS = {"schema_version"} | set(_SECTION_KEYS)
 class ExperimentConfig:
     """Validated experiment file; absent sections are empty dicts."""
 
-    schema_version: int
     hardware: dict = field(default_factory=dict)
     simulation: dict = field(default_factory=dict)
     sweep: dict = field(default_factory=dict)
@@ -127,7 +126,7 @@ def load_experiment_config(path: str | Path) -> ExperimentConfig:
                 f"allowed: {sorted(allowed)}"
             )
         sections[name] = section
-    return ExperimentConfig(schema_version=version, **sections)
+    return ExperimentConfig(**sections)
 
 
 def build_hardware_profile(config: ExperimentConfig) -> HardwareProfile:
@@ -186,14 +185,14 @@ def build_sim_config(config: ExperimentConfig,
         raise ConfigError(f"invalid simulation parameters: {exc}") from exc
 
 
-def build_sweep(config: ExperimentConfig, base: SimConfig,
+def build_sweep(config: ExperimentConfig,
                 diameters_over_vt: list[float] | None,
                 n_seeds: int) -> tuple[list[float], list[int]]:
-    """Pool diameters in metres and integer seeds for ``pool_sweep``.
+    """Pool diameters in units of v*T and integer seeds for ``pool_sweep``.
 
     ``diameters_over_vt``, when given, replaces the ``sweep`` section's
-    list of the same name; both are in units of v*T of ``base``. Seeds
-    default to ``range(n_seeds)`` when the section has none.
+    list of the same name. Seeds default to ``range(n_seeds)`` when the
+    section has none.
     """
     section = config.sweep
     if diameters_over_vt is None:
@@ -207,5 +206,4 @@ def build_sweep(config: ExperimentConfig, base: SimConfig,
         seeds = _each(_integer, section["seeds"], "sweep.seeds")
     else:
         seeds = list(range(n_seeds))
-    vt = base.signal_velocity * base.natural_period
-    return [d * vt for d in diameters_over_vt], seeds
+    return diameters_over_vt, seeds

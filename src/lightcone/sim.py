@@ -189,16 +189,6 @@ class SpikeTrace:
     duration: float
     n_events: int
 
-    def in_window(self, t0: float, t1: float) -> tuple[np.ndarray, np.ndarray]:
-        """Times and nodes of the fires with t0 <= time <= t1, in order.
-
-        Times never decrease, so the window is one slice, and the arrays
-        returned are views of the trace's own.
-        """
-        start = np.searchsorted(self.times, t0, side="left")
-        stop = np.searchsorted(self.times, t1, side="right")
-        return self.times[start:stop], self.nodes[start:stop]
-
 
 @dataclass(frozen=True)
 class SynchronyReport:
@@ -484,13 +474,16 @@ def _order_parameter(times: np.ndarray, period: float) -> float:
 
 def _trailing_window(trace: SpikeTrace,
                      window: float | None = None) -> np.ndarray:
-    """Fire times in a trace's trailing ``window`` (see synchrony_metrics)."""
+    """Fire times in [duration - window, duration] (see synchrony_metrics)."""
     if window is None:
         window = min(DEFAULT_ANALYSIS_PERIODS * trace.natural_period,
                      trace.duration)
     check_number("window", window, gt=0.0, le=trace.duration)
     t0 = trace.duration - window
-    times, _ = trace.in_window(t0, trace.duration)
+    # Times never decrease, so the window is one slice.
+    times = trace.times[np.searchsorted(trace.times, t0, side="left"):
+                        np.searchsorted(trace.times, trace.duration,
+                                        side="right")]
     if len(times) == 0:
         raise ValueError(
             f"no spikes in the analysis window [{t0}, {trace.duration}]"
@@ -545,15 +538,16 @@ def pool_sweep(base: SimConfig, diameters: list[float],
                seeds: list[int]) -> tuple[SweepRow, ...]:
     """Order parameter versus pool diameter, averaged over seeds.
 
-    For each (diameter, seed) cell the nodes are placed uniformly at
-    random in a square of side ``diameter`` (metres) and run with the
-    base configuration's dynamics. Per seed, the unit-square placement
-    and the initial phases are drawn once and shared by every diameter
-    (the diameter only rescales the geometry), so the zero-coupling null
-    control is exactly diameter-independent. Cells are independent and
-    aggregated by cell key, so the table does not depend on evaluation
-    order. Returns one row per diameter, in the order given, each with
-    its per-seed order parameters, as ``synchrony_metrics`` gives them.
+    ``diameters`` are in units of v*T of ``base``: each (diameter, seed)
+    cell places the nodes uniformly at random in a square of side
+    ``diameter * v * T`` and runs the base configuration's dynamics. Per
+    seed, the unit-square placement and the initial phases are drawn once
+    and shared by every diameter, so the zero-coupling null control is
+    exactly diameter-independent. Cells are independent and aggregated
+    by cell key, so the table does not depend on evaluation order.
+    Returns one row per diameter, in the order given, with its per-seed
+    order parameters, as ``synchrony_metrics`` gives them. A repeated
+    seed would count one cell twice, so it is rejected.
     """
     if len(diameters) < 1:
         raise ValueError("at least one diameter is required")
@@ -562,6 +556,8 @@ def pool_sweep(base: SimConfig, diameters: list[float],
         raise ValueError("at least one seed is required")
     for i, seed in enumerate(seeds):
         check_integer(f"seeds[{i}]", seed, ge=0)
+        if seed in seeds[:i]:
+            raise ValueError(f"seeds[{i}] repeats seeds[{seeds.index(seed)}]")
     n = base.n_nodes
     T = base.natural_period
     vt = base.signal_velocity * T
@@ -578,13 +574,13 @@ def pool_sweep(base: SimConfig, diameters: list[float],
         values = []
         for seed in seeds:
             unit, phases = placements[seed]
-            config = replace(base, positions=unit * diameter,
+            config = replace(base, positions=unit * (diameter * vt),
                              initial_phases=phases, seed=seed)
             values.append(_order_parameter(_trailing_window(run(config)), T))
         arr = np.asarray(values)
         stderr = float(arr.std(ddof=1) / math.sqrt(len(arr))) if len(arr) > 1 else 0.0
         rows.append(SweepRow(
-            diameter_over_vt=diameter / vt,
+            diameter_over_vt=diameter,
             mean_order_parameter=float(arr.mean()),
             stderr=stderr,
             order_parameters=tuple(float(v) for v in arr),

@@ -131,6 +131,14 @@ POOL_BYTES = {
         ("pool", "--f", "1e3", "--n", "3", "--format", "csv"),
         "frequency,diameter_m,area_m2,population\n"
         "1.00000e+03,2.99792e+05,,3.92827e+30\n"),
+    "cortex-table": (
+        ("pool", "--v", "2", "--w", "2.4e-6", "--f", "6"),
+        "frequency    diameter_m   area_m2      population\n"
+        "6.00000e+00  3.33333e-01  1.11111e-01  1.92901e+10\n"
+        "\n"
+        "earth-surface square side (m): 2.25832e+07\n"
+        "max integrable frequency at that extent (Hz): 8.85615e-08\n"
+        "theta band [4, 8] Hz integrable at earth scale: no\n"),
 }
 
 
@@ -363,6 +371,17 @@ def test_event_budget_overflow_is_clean_input_error(tmp_path: Path):
     assert result.returncode == 2
     assert result.stderr.startswith("error: event queue exceeded 5 events")
     assert "Traceback" not in result.stderr
+
+
+def test_repeated_sweep_seed_is_clean_input_error(tmp_path: Path):
+    payload = json.loads(json.dumps(SIM_CONFIG))
+    payload["sweep"]["seeds"] = [0, 0, 1]
+    config_path = tmp_path / "sim.json"
+    config_path.write_text(json.dumps(payload))
+    result = run_cli("sweep", "--config", str(config_path))
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr == "error: seeds[1] repeats seeds[0]\n"
 
 
 @pytest.mark.parametrize("args", [

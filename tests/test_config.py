@@ -37,7 +37,6 @@ VALID = {
 class TestLoading:
     def test_valid_config_loads(self, tmp_path):
         config = load_experiment_config(write_config(tmp_path, VALID))
-        assert config.schema_version == SCHEMA_VERSION
         assert config.simulation["n_nodes"] == 8
         assert config.sweep == VALID["sweep"]
 
@@ -193,34 +192,33 @@ class TestTypes:
     def test_fractional_sweep_seeds_rejected(self, tmp_path):
         config = load_with(tmp_path, "sweep", "seeds", [0.5, 1.7])
         with pytest.raises(ConfigError, match="sweep.seeds"):
-            build_sweep(config, build_sim_config(config), None, 10)
+            build_sweep(config, None, 10)
 
     def test_boolean_sweep_diameter_rejected(self, tmp_path):
         config = load_with(tmp_path, "sweep", "diameters_over_vt", [True])
         with pytest.raises(ConfigError, match="sweep.diameters_over_vt"):
-            build_sweep(config, build_sim_config(config), None, 10)
+            build_sweep(config, None, 10)
 
     def test_string_sweep_diameters_rejected(self, tmp_path):
         config = load_with(tmp_path, "sweep", "diameters_over_vt", "0.1")
         with pytest.raises(ConfigError, match="sweep.diameters_over_vt"):
-            build_sweep(config, build_sim_config(config), None, 10)
+            build_sweep(config, None, 10)
 
 
 class TestSweep:
     def test_section_gives_diameters_in_metres_and_seeds(self, tmp_path):
         config = load_with(tmp_path, "simulation",
                            "signal_velocity_m_per_s", 2.0)
-        diameters, seeds = build_sweep(config, build_sim_config(config),
-                                       None, 10)
-        assert diameters == [0.2, 2.0]
+        diameters, seeds = build_sweep(config, None, 10)
+        # Units of v*T: the section's values as given, not times v = 2.
+        assert diameters == [0.1, 1.0]
         assert seeds == [0, 1]
 
     def test_override_replaces_section_and_seeds_default(self, tmp_path):
         payload = json.loads(json.dumps(VALID))
         payload["sweep"].pop("seeds")
         config = load_experiment_config(write_config(tmp_path, payload))
-        diameters, seeds = build_sweep(config, build_sim_config(config),
-                                       [0.5], 3)
+        diameters, seeds = build_sweep(config, [0.5], 3)
         assert diameters == [0.5]
         assert seeds == [0, 1, 2]
 
@@ -228,4 +226,4 @@ class TestSweep:
         payload = {k: v for k, v in VALID.items() if k != "sweep"}
         config = load_experiment_config(write_config(tmp_path, payload))
         with pytest.raises(ConfigError, match="diameters_over_vt"):
-            build_sweep(config, build_sim_config(config), None, 10)
+            build_sweep(config, None, 10)

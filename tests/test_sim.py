@@ -333,7 +333,7 @@ class TestTwoNodeScenarios:
         for record in induced:
             assert record.time - record.emit_time >= 3.0 - 1e-12
         # No lock within the early periods: anti-phase start cancels.
-        early, _ = trace.in_window(0.0, 3.0)
+        early = trace.times[:np.searchsorted(trace.times, 3.0, side="right")]
         angles = 2 * np.pi * (early % 1.0)
         assert abs(np.exp(1j * angles).mean()) < 0.5
 
@@ -677,30 +677,23 @@ class TestConvergenceWindows:
                                                                 threshold)
 
 
-def mask_window(trace, t0, t1):
-    """The fires in [t0, t1] picked by a mask."""
-    mask = (trace.times >= t0) & (trace.times <= t1)
-    return trace.times[mask], trace.nodes[mask]
+class TestTrailingWindow:
+    """The analysis window is [duration - window, duration], ends included."""
 
-
-class TestInWindow:
     def edge_trace(self):
-        times = np.array([0.5, 1.0, 1.0, 1.5, 2.0, 2.0, 2.5])
+        # Fires on both edges of each window below, and one past the
+        # duration, which no engine run produces.
+        times = np.array([0.5, 1.0, 1.5, 2.0, 2.0, 2.5, 3.0, 3.5])
         return SpikeTrace(times=times, nodes=np.arange(len(times)),
                           natural_period=1.0, duration=3.0,
                           n_events=len(times))
 
-    def test_spikes_on_both_edges_are_kept(self):
-        times, nodes = self.edge_trace().in_window(1.0, 2.0)
-        assert times.tolist() == [1.0, 1.0, 1.5, 2.0, 2.0]
-        assert nodes.tolist() == [1, 2, 3, 4, 5]
-        times, nodes = self.edge_trace().in_window(1.5, 1.5)
-        assert times.tolist() == [1.5] and nodes.tolist() == [3]
-
-    def test_end_before_start_gives_an_empty_window(self):
-        for t0, t1 in [(2.0, 1.0), (1.5, 1.0), (3.0, 0.0)]:
-            times, nodes = self.edge_trace().in_window(t0, t1)
-            assert len(times) == 0 and len(nodes) == 0
+    @pytest.mark.parametrize("window, n_spikes",
+                             [(0.5, 2), (1.0, 4), (1.5, 5), (3.0, 7)])
+    def test_fires_on_both_edges_count_and_past_duration_do_not(
+            self, window, n_spikes):
+        report = synchrony_metrics(self.edge_trace(), window=window)
+        assert report.n_spikes == n_spikes
 
     @pytest.mark.parametrize("side", [0.1, 1.0, 4.0])
     def test_matches_mask_selection_on_engine_traces(self, side):
@@ -710,15 +703,13 @@ class TestInWindow:
                               duration=6.0,
                               initial_phases=rng.uniform(0, 1.0, 32)))
         assert (np.diff(trace.times) >= 0).all()
-        # Period edges, spike times themselves and bounds past the trace.
-        bounds = [-1.0, 0.0, 1.0, 3.0, 6.0, 7.0,
-                  *trace.times[[0, 7, len(trace.times) // 2, -1]]]
-        for t0 in bounds:
-            for t1 in bounds:
-                times, nodes = trace.in_window(t0, t1)
-                mask_times, mask_nodes = mask_window(trace, t0, t1)
-                assert np.array_equal(times, mask_times)
-                assert np.array_equal(nodes, mask_nodes)
+        # Windows starting on period edges and on spike times themselves.
+        for window in [6.0, 5.0, 3.0, 1.0,
+                       *(6.0 - trace.times[[7, len(trace.times) // 2, -1]])]:
+            t0 = 6.0 - window
+            mask = (trace.times >= t0) & (trace.times <= 6.0)
+            report = synchrony_metrics(trace, window=window)
+            assert report.n_spikes == mask.sum()
 
 
 @st.composite

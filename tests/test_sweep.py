@@ -8,11 +8,12 @@ from lightcone import (SampledGraph, SimConfig, pool_sweep, run,
                        synchrony_metrics)
 
 
-def base_config(n_nodes=16, coupling=0.3, duration=25.0):
+def base_config(n_nodes=16, coupling=0.3, duration=25.0, velocity=1.0,
+                period=1.0):
     return SimConfig(
         positions=np.zeros((n_nodes, 2)),
-        signal_velocity=1.0,
-        natural_period=1.0,
+        signal_velocity=velocity,
+        natural_period=period,
         duration=duration,
         coupling_strength=coupling,
         refractory_fraction=0.35,
@@ -60,23 +61,34 @@ class TestPoolSweep:
         assert means[0] == means[1] == means[2]
         assert rows[0].order_parameters == rows[2].order_parameters
 
-    @pytest.mark.parametrize("coupling", [0.3, 0.0])
-    def test_order_parameters_match_synchrony_metrics(self, coupling):
+    @pytest.mark.parametrize("coupling, velocity, period", [
+        pytest.param(0.3, 1.0, 1.0, id="0.3"),
+        pytest.param(0.0, 1.0, 1.0, id="0.0"),
+        pytest.param(0.3, 3.0, 0.7, id="0.3-v3-T0.7"),
+        pytest.param(0.0, 3.0, 0.7, id="0.0-v3-T0.7"),
+    ])
+    def test_order_parameters_match_synchrony_metrics(self, coupling,
+                                                      velocity, period):
         # 25 periods against the 10-period default window, so each cell's
-        # window is a strict suffix of its trace.
-        base = base_config(coupling=coupling, duration=25.0)
-        diameters, seeds = [0.1, 1.0, 4.0], [0, 1, 2]
+        # window is a strict suffix of its trace. Diameters are in v*T;
+        # at v = 3, T = 0.7, (3.9 * vT) / vT is not 3.9, so the row check
+        # fails if the diameter makes a round trip through metres.
+        base = base_config(coupling=coupling, duration=25.0 * period,
+                           velocity=velocity, period=period)
+        vt = velocity * period
+        diameters, seeds = [0.1, 1.0, 3.9], [0, 1, 2]
         rows = pool_sweep(base, diameters, seeds)
         for diameter, row in zip(diameters, rows):
+            assert row.diameter_over_vt == diameter
             for seed, value in zip(seeds, row.order_parameters):
                 # Each cell's placement and phases, drawn as pool_sweep does.
                 rng = np.random.default_rng(seed)
                 unit = rng.uniform(0.0, 1.0, size=(16, 2))
-                phases = rng.uniform(0.0, 1.0, size=16)
+                phases = rng.uniform(0.0, period, size=16)
                 trace = run(dataclasses.replace(
-                    base, positions=unit * diameter, initial_phases=phases,
-                    seed=seed))
-                assert trace.times[0] < trace.duration - 10.0
+                    base, positions=unit * (diameter * vt),
+                    initial_phases=phases, seed=seed))
+                assert trace.times[0] < trace.duration - 10.0 * period
                 report = synchrony_metrics(trace)
                 assert value == report.order_parameter
 
@@ -101,3 +113,10 @@ class TestPoolSweep:
     def test_bad_seed_rejected_by_name(self, seed):
         with pytest.raises(ValueError, match=r"^seeds\[1\]"):
             pool_sweep(base_config(), [0.1], [0, seed])
+
+    def test_repeated_seed_rejected_by_name(self):
+        # A repeat would run one cell twice and count it twice in the
+        # mean and the stderr.
+        with pytest.raises(ValueError,
+                           match=r"^seeds\[2\] repeats seeds\[0\]$"):
+            pool_sweep(base_config(), [0.1], [0, 1, 0])
