@@ -22,7 +22,6 @@ from pathlib import Path
 import numpy as np
 
 from .config import (
-    ExperimentConfig,
     build_hardware_profile,
     build_sim_config,
     build_sweep,
@@ -72,8 +71,6 @@ def sci(x: float) -> str:
 
 
 def _cell(value) -> str:
-    if value is None:
-        return ""
     if isinstance(value, str):
         return value
     if isinstance(value, (int, np.integer)):
@@ -81,32 +78,35 @@ def _cell(value) -> str:
     return sci(float(value))
 
 
-def emit_csv(header: list[str], rows: list[list], out_dir: Path | None,
-             filename: str) -> None:
-    lines = [",".join(header)]
-    lines += [",".join(_cell(v) for v in row) for row in rows]
-    text = "\n".join(lines) + "\n"
-    if out_dir is not None:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / filename).write_text(text)
-        print(f"wrote {out_dir / filename}")
+def _render(header: list[str], rows: list[list], table: bool) -> str:
+    """The rows as CSV, or as a table padded to each column's width."""
+    lines = [header, *([_cell(v) for v in row] for row in rows)]
+    if table:
+        widths = [max(map(len, column)) for column in zip(*lines)]
+        lines = ["  ".join(c.ljust(w) for c, w in zip(line, widths)).rstrip()
+                 for line in lines]
     else:
+        lines = [",".join(line) for line in lines]
+    return "\n".join(lines) + "\n"
+
+
+def _write(out_dir: Path | None, filename: str, text: str) -> None:
+    """Write ``text`` to ``out_dir/filename`` and name it, or to stdout."""
+    if out_dir is None:
         sys.stdout.write(text)
+        return
+    out_dir.mkdir(parents=True, exist_ok=True)
+    (out_dir / filename).write_text(text)
+    print(f"wrote {out_dir / filename}")
 
 
-def emit_table(header: list[str], rows: list[list]) -> None:
-    cells = [[_cell(v) for v in row] for row in rows]
-    widths = [max(len(h), *(len(r[i]) for r in cells)) if cells else len(h)
-              for i, h in enumerate(header)]
-    for row in [header, *cells]:
-        print("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
+def _table_mode(args) -> bool:
+    """Whether a command prints tables: ``--format table`` and no ``--out``."""
+    return args.format == "table" and args.out is None
 
 
 def _emit(args, header, rows, filename) -> None:
-    if args.format == "table" and args.out is None:
-        emit_table(header, rows)
-    else:
-        emit_csv(header, rows, args.out, filename)
+    _write(args.out, filename, _render(header, rows, _table_mode(args)))
 
 
 def _finite_float(text: str) -> float:
@@ -207,7 +207,7 @@ def cmd_pool(args) -> int:
             for f in _pool_frequencies(args)]
     _emit(args, ["frequency", "diameter_m", "area_m2", "population"],
           rows, "pool.csv")
-    if args.format == "table" and args.out is None:
+    if _table_mode(args):
         side = EARTH_SURFACE_AREA ** 0.5
         lo, hi = THETA_BAND_HZ
         print()
@@ -270,7 +270,7 @@ def cmd_power(args) -> int:
     return EXIT_OK
 
 
-def _require_config(args) -> ExperimentConfig:
+def _require_config(args) -> dict[str, dict]:
     if args.config is None:
         raise ConfigError("this subcommand requires --config <file>")
     return load_experiment_config(args.config)
@@ -291,12 +291,10 @@ def cmd_simulate(args) -> int:
         print(f"convergence_time_s: {sci(report.convergence_time)}")
     else:
         print("convergence_time_s: none")
-    header = ["node_id", "fire_time_s"]
-    rows = [[int(node), t] for node, t in zip(trace.nodes, trace.times)]
-    if args.out is not None:
-        emit_csv(header, rows, args.out, "spike_trace.csv")
-    elif args.format == "csv":
-        emit_csv(header, rows, None, "spike_trace.csv")
+    if not _table_mode(args):
+        rows = [[int(node), t] for node, t in zip(trace.nodes, trace.times)]
+        _write(args.out, "spike_trace.csv",
+               _render(["node_id", "fire_time_s"], rows, table=False))
     return EXIT_OK
 
 
@@ -341,11 +339,8 @@ def cmd_paper_check(args) -> int:
             for r in results
         ],
     }
-    out_dir = args.out if args.out is not None else Path(".")
-    out_dir.mkdir(parents=True, exist_ok=True)
-    out_file = out_dir / "paper_check.json"
-    out_file.write_text(json.dumps(payload, indent=2) + "\n")
-    print(f"wrote {out_file}")
+    _write(args.out or Path("."), "paper_check.json",
+           json.dumps(payload, indent=2) + "\n")
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 

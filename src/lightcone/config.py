@@ -5,12 +5,13 @@ a section are rejected rather than ignored, so typos fail loudly. Every
 number is read through ``_number`` or ``_integer``, which apply the
 package's one numeric input rule (``errors.check_number`` and
 ``check_integer``) and report a breach as a ConfigError naming
-``section.key``.
+``section.key``; a value a library constructor rejects is reported with
+its section and the library field.
 """
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 from functools import partial
 from pathlib import Path
 
@@ -18,7 +19,7 @@ import numpy as np
 
 from .errors import ConfigError, check_integer, check_number
 from .hardware import HardwareProfile
-from .sim import SimConfig
+from .sim import SimConfig, check_sweep_cells
 
 SCHEMA_VERSION = 1
 
@@ -57,31 +58,23 @@ _SECTION_KEYS = {
 _TOP_KEYS = {"schema_version"} | set(_SECTION_KEYS)
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Validated experiment file; absent sections are empty dicts."""
-
-    hardware: dict = field(default_factory=dict)
-    simulation: dict = field(default_factory=dict)
-    sweep: dict = field(default_factory=dict)
-
-
-def _checked(check, value, name: str, **bounds):
-    """Run one of the ``errors`` checkers, raising ConfigError instead."""
+def _checked(context: str, check, *args, **kwargs):
+    """Run a checker or library constructor, raising its ValueError as a
+    ConfigError led by ``context``."""
     try:
-        return check(name, value, **bounds)
+        return check(*args, **kwargs)
     except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+        raise ConfigError(f"{context}{exc}") from None
 
 
 def _number(value, name: str, **bounds) -> float:
     """A JSON number as a finite float; ``name`` is its ``section.key``."""
-    return float(_checked(check_number, value, name, **bounds))
+    return float(_checked("", check_number, name, value, **bounds))
 
 
 def _integer(value, name: str, minimum: int = 0) -> int:
     """A JSON integer no smaller than ``minimum``; ``name`` as above."""
-    return _checked(check_integer, value, name, ge=minimum)
+    return _checked("", check_integer, name, value, ge=minimum)
 
 
 def _each(read, value, name: str) -> list:
@@ -91,8 +84,9 @@ def _each(read, value, name: str) -> list:
     return [read(item, f"{name}[{i}]") for i, item in enumerate(value)]
 
 
-def load_experiment_config(path: str | Path) -> ExperimentConfig:
-    """Load and validate a config file; raise ConfigError on any defect."""
+def load_experiment_config(path: str | Path) -> dict[str, dict]:
+    """The file's three sections as dicts, an absent one as ``{}``, after
+    validation; raise ConfigError on any defect."""
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
@@ -126,18 +120,19 @@ def load_experiment_config(path: str | Path) -> ExperimentConfig:
                 f"allowed: {sorted(allowed)}"
             )
         sections[name] = section
-    return ExperimentConfig(**sections)
+    return sections
 
 
-def build_hardware_profile(config: ExperimentConfig) -> HardwareProfile:
+def build_hardware_profile(config: dict[str, dict]) -> HardwareProfile:
     """Hardware profile from the config, defaulting to the wafer profile."""
-    overrides = {name: _number(config.hardware[key], f"hardware.{key}")
-                 for key, name in _HARDWARE_FIELDS.items()
-                 if key in config.hardware}
-    return replace(HardwareProfile.wafer_300mm(), **overrides)
+    section = config["hardware"]
+    overrides = {name: _number(section[key], f"hardware.{key}")
+                 for key, name in _HARDWARE_FIELDS.items() if key in section}
+    return _checked("invalid hardware parameters: ", replace,
+                    HardwareProfile.wafer_300mm(), **overrides)
 
 
-def build_sim_config(config: ExperimentConfig,
+def build_sim_config(config: dict[str, dict],
                      seed_override: int | None = None) -> SimConfig:
     """Simulation setup from the config's ``simulation`` section.
 
@@ -145,7 +140,7 @@ def build_sim_config(config: ExperimentConfig,
     ``n_nodes`` plus ``side_m`` (uniform placement in a square, drawn
     from the seed).
     """
-    section = config.simulation
+    section = config["simulation"]
     if not section:
         raise ConfigError('config has no "simulation" section')
     for key in _SIM_REQUIRED:
@@ -161,9 +156,10 @@ def build_sim_config(config: ExperimentConfig,
     else:
         seed = _integer(seed_override, "seed")
     if "positions_m" in section:
-        positions = np.asarray(_each(partial(_each, _number),
-                                     section["positions_m"],
-                                     "simulation.positions_m"))
+        positions = _each(partial(_each, _number), section["positions_m"],
+                          "simulation.positions_m")
+        if len(set(map(len, positions))) > 1:
+            raise ConfigError("simulation.positions_m rows differ in length")
     elif "n_nodes" in section and "side_m" in section:
         n_nodes = _integer(section["n_nodes"], "simulation.n_nodes", minimum=1)
         side = _number(section["side_m"], "simulation.side_m", gt=0.0)
@@ -176,16 +172,13 @@ def build_sim_config(config: ExperimentConfig,
         )
     phases = section.get("initial_phases_s")
     if phases is not None:
-        phases = np.asarray(_each(_number, phases,
-                                  "simulation.initial_phases_s"))
-    try:
-        return SimConfig(positions=positions, initial_phases=phases,
-                         seed=seed, **numbers)
-    except ValueError as exc:
-        raise ConfigError(f"invalid simulation parameters: {exc}") from exc
+        phases = _each(_number, phases, "simulation.initial_phases_s")
+    return _checked("invalid simulation parameters: ", SimConfig,
+                    positions=positions, initial_phases=phases, seed=seed,
+                    **numbers)
 
 
-def build_sweep(config: ExperimentConfig,
+def build_sweep(config: dict[str, dict],
                 diameters_over_vt: list[float] | None,
                 n_seeds: int) -> tuple[list[float], list[int]]:
     """Pool diameters in units of v*T and integer seeds for ``pool_sweep``.
@@ -194,10 +187,12 @@ def build_sweep(config: ExperimentConfig,
     list of the same name. Seeds default to ``range(n_seeds)`` when the
     section has none.
     """
-    section = config.sweep
+    section = config["sweep"]
+    diameters_name = "diameters"
     if diameters_over_vt is None:
+        diameters_name = "sweep.diameters_over_vt"
         diameters_over_vt = _each(_number, section.get("diameters_over_vt", []),
-                                  "sweep.diameters_over_vt")
+                                  diameters_name)
     if not diameters_over_vt:
         raise ConfigError(
             'give --diameters or a "sweep" section with diameters_over_vt'
@@ -206,4 +201,6 @@ def build_sweep(config: ExperimentConfig,
         seeds = _each(_integer, section["seeds"], "sweep.seeds")
     else:
         seeds = list(range(n_seeds))
+    _checked("", check_sweep_cells, diameters_over_vt, seeds, diameters_name,
+             "sweep.seeds")
     return diameters_over_vt, seeds

@@ -59,8 +59,7 @@ matter. The skip is exact: ready only grows, so such a delivery would
 still be refractory when it popped, and skipping it changes no state or
 the trace. Each lane ends in a sentinel delivery (delay inf, target
 slot n, ready[n] = -inf) that stops every scan, so a skip step is one
-float comparison; on the sweep benchmark's 64-node cells the loop
-costs 0.47 us per event (BENCH_13.json, 2 shared cores).
+float comparison.
 """
 from __future__ import annotations
 
@@ -534,6 +533,23 @@ def synchrony_metrics(trace: SpikeTrace, window: float | None = None,
     )
 
 
+def check_sweep_cells(diameters: list[float], seeds: list[int],
+                      diameters_name="diameters", seeds_name="seeds") -> None:
+    """``pool_sweep``'s input rule: non-empty lists of diameters > 0 and of
+    seeds >= 0, no seed repeated (it would count one cell twice). A
+    ValueError names an item as ``diameters_name[i]`` or ``seeds_name[i]``."""
+    if len(diameters) < 1:
+        raise ValueError("at least one diameter is required")
+    check_each(diameters_name, diameters, gt=0.0)
+    if len(seeds) < 1:
+        raise ValueError("at least one seed is required")
+    for i, seed in enumerate(seeds):
+        check_integer(f"{seeds_name}[{i}]", seed, ge=0)
+        if seed in seeds[:i]:
+            raise ValueError(f"{seeds_name}[{i}] repeats "
+                             f"{seeds_name}[{seeds.index(seed)}]")
+
+
 def pool_sweep(base: SimConfig, diameters: list[float],
                seeds: list[int]) -> tuple[SweepRow, ...]:
     """Order parameter versus pool diameter, averaged over seeds.
@@ -546,18 +562,9 @@ def pool_sweep(base: SimConfig, diameters: list[float],
     exactly diameter-independent. Cells are independent and aggregated
     by cell key, so the table does not depend on evaluation order.
     Returns one row per diameter, in the order given, with its per-seed
-    order parameters, as ``synchrony_metrics`` gives them. A repeated
-    seed would count one cell twice, so it is rejected.
+    order parameters, as ``synchrony_metrics`` gives them.
     """
-    if len(diameters) < 1:
-        raise ValueError("at least one diameter is required")
-    check_each("diameters", diameters, gt=0.0)
-    if len(seeds) < 1:
-        raise ValueError("at least one seed is required")
-    for i, seed in enumerate(seeds):
-        check_integer(f"seeds[{i}]", seed, ge=0)
-        if seed in seeds[:i]:
-            raise ValueError(f"seeds[{i}] repeats seeds[{seeds.index(seed)}]")
+    check_sweep_cells(diameters, seeds)
     n = base.n_nodes
     T = base.natural_period
     vt = base.signal_velocity * T
@@ -575,7 +582,7 @@ def pool_sweep(base: SimConfig, diameters: list[float],
         for seed in seeds:
             unit, phases = placements[seed]
             config = replace(base, positions=unit * (diameter * vt),
-                             initial_phases=phases, seed=seed)
+                             initial_phases=phases)
             values.append(_order_parameter(_trailing_window(run(config)), T))
         arr = np.asarray(values)
         stderr = float(arr.std(ddof=1) / math.sqrt(len(arr))) if len(arr) > 1 else 0.0

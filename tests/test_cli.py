@@ -338,6 +338,89 @@ def test_paper_check_output_bytes_are_pinned(tmp_path: Path):
     assert out_file.read_text() == PAPER_CHECK_JSON
 
 
+def test_paper_check_without_out_writes_to_the_working_directory(
+        tmp_path: Path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["paper-check"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == PAPER_CHECK_STDOUT + "wrote paper_check.json\n"
+    assert captured.err == ""
+    assert (tmp_path / "paper_check.json").read_text() == PAPER_CHECK_JSON
+
+
+def test_pool_out_writes_the_csv_and_no_footer(tmp_path: Path):
+    result = run_cli("pool", "--f", "6", "--out", str(tmp_path))
+    assert result.returncode == 0
+    assert result.stderr == ""
+    assert result.stdout == f"wrote {tmp_path / 'pool.csv'}\n"
+    assert (tmp_path / "pool.csv").read_text() == (
+        "frequency,diameter_m,area_m2,population\n"
+        "6.00000e+00,4.99654e+07,2.49654e+15,6.91563e+24\n")
+
+
+# Exact bytes of simulate's summary and spike trace for three nodes with
+# given positions and phases.
+SMALL_SIM_CONFIG = {
+    "schema_version": 1,
+    "simulation": {
+        "positions_m": [[0.0, 0.0], [0.5, 0.0], [0.0, 0.25]],
+        "initial_phases_s": [0.0, 0.3, 0.6],
+        "signal_velocity_m_per_s": 1.0,
+        "natural_period_s": 1.0,
+        "duration_s": 3.0,
+    },
+}
+SIMULATE_SUMMARY = (
+    "nodes: 3\n"
+    "duration_s: 3.00000e+00\n"
+    "spikes: 12\n"
+    "events: 40\n"
+    "order_parameter: 1.23260e-01\n"
+    "lock_threshold: 9.00000e-01\n"
+    "locked: no\n"
+    "convergence_time_s: none\n"
+)
+SIMULATE_TRACE = (
+    "node_id,fire_time_s\n"
+    "2,4.00000e-01\n"
+    "1,7.00000e-01\n"
+    "0,7.00000e-01\n"
+    "2,1.10000e+00\n"
+    "0,1.35000e+00\n"
+    "1,1.40000e+00\n"
+    "2,1.80000e+00\n"
+    "0,2.05000e+00\n"
+    "1,2.10000e+00\n"
+    "2,2.50000e+00\n"
+    "0,2.75000e+00\n"
+    "1,2.80000e+00\n"
+)
+
+
+@pytest.mark.parametrize("mode", ["table", "csv", "out"])
+def test_simulate_output_bytes_are_pinned(tmp_path: Path, mode):
+    # A table prints the summary alone; CSV follows it with the trace;
+    # --out writes the trace to a file and names it, in either format.
+    config_path = tmp_path / "sim.json"
+    config_path.write_text(json.dumps(SMALL_SIM_CONFIG))
+    out_dir = tmp_path / "results"
+    flags = {"table": (), "csv": ("--format", "csv"),
+             "out": ("--out", str(out_dir))}[mode]
+    result = run_cli("simulate", "--config", str(config_path), *flags)
+    assert result.returncode == 0
+    assert result.stderr == ""
+    expected = {
+        "table": SIMULATE_SUMMARY,
+        "csv": SIMULATE_SUMMARY + SIMULATE_TRACE,
+        "out": SIMULATE_SUMMARY + f"wrote {out_dir / 'spike_trace.csv'}\n",
+    }[mode]
+    assert result.stdout == expected
+    if mode == "out":
+        assert (out_dir / "spike_trace.csv").read_text() == SIMULATE_TRACE
+    else:
+        assert not out_dir.exists()
+
+
 def test_degree_csv_round_trip_via_out_dir(tmp_path: Path):
     result = run_cli("degree", "--random", "--path-length", "2,3",
                      "--n-min", "1e3", "--n-max", "1e5",
@@ -381,7 +464,7 @@ def test_repeated_sweep_seed_is_clean_input_error(tmp_path: Path):
     result = run_cli("sweep", "--config", str(config_path))
     assert result.returncode == 2
     assert result.stdout == ""
-    assert result.stderr == "error: seeds[1] repeats seeds[0]\n"
+    assert result.stderr == "error: sweep.seeds[1] repeats sweep.seeds[0]\n"
 
 
 @pytest.mark.parametrize("args", [

@@ -37,8 +37,8 @@ VALID = {
 class TestLoading:
     def test_valid_config_loads(self, tmp_path):
         config = load_experiment_config(write_config(tmp_path, VALID))
-        assert config.simulation["n_nodes"] == 8
-        assert config.sweep == VALID["sweep"]
+        assert config["simulation"]["n_nodes"] == 8
+        assert config["sweep"] == VALID["sweep"]
 
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
@@ -140,6 +140,19 @@ class TestBuilders:
         with pytest.raises(ConfigError, match="invalid simulation"):
             build_sim_config(config)
 
+    def test_invalid_hardware_value_names_the_section(self, tmp_path):
+        config = load_with(tmp_path, "hardware", "synapse_area_m2", -1)
+        with pytest.raises(ConfigError, match=r"^invalid hardware parameters: "
+                                              r"synapse_area must be"):
+            build_hardware_profile(config)
+
+    def test_ragged_positions_name_the_key(self, tmp_path):
+        config = load_with(tmp_path, "simulation", "positions_m",
+                           [[0, 0], [1]])
+        with pytest.raises(ConfigError,
+                           match=r"^simulation\.positions_m rows differ"):
+            build_sim_config(config)
+
 
 def load_with(tmp_path, section, key, value):
     payload = json.loads(json.dumps(VALID))
@@ -221,6 +234,23 @@ class TestSweep:
         diameters, seeds = build_sweep(config, [0.5], 3)
         assert diameters == [0.5]
         assert seeds == [0, 1, 2]
+
+    def test_nonpositive_section_diameter_names_its_key(self, tmp_path):
+        config = load_with(tmp_path, "sweep", "diameters_over_vt", [0.1, -1.0])
+        with pytest.raises(ConfigError,
+                           match=r"^sweep\.diameters_over_vt\[1\] must be"):
+            build_sweep(config, None, 10)
+
+    def test_repeated_section_seed_names_its_key(self, tmp_path):
+        config = load_with(tmp_path, "sweep", "seeds", [0, 0])
+        with pytest.raises(ConfigError,
+                           match=r"^sweep\.seeds\[1\] repeats sweep\.seeds\[0\]$"):
+            build_sweep(config, None, 10)
+
+    def test_override_diameter_keeps_its_plain_name(self, tmp_path):
+        config = load_experiment_config(write_config(tmp_path, VALID))
+        with pytest.raises(ConfigError, match=r"^diameters\[1\] must be"):
+            build_sweep(config, [0.1, -1.0], 10)
 
     def test_no_diameters_anywhere_rejected(self, tmp_path):
         payload = {k: v for k, v in VALID.items() if k != "sweep"}
