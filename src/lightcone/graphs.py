@@ -54,8 +54,11 @@ MAX_STUBS = 200_000_000
 _RESTRICTED_PULL_COST = 2
 _PUSH_COST = 8
 # Edge-sized passes run over blocks of this many rows (or nodes), so
-# their temporaries stay a constant size whatever the graph's.
-_BLOCK = 2**11
+# their temporaries stay a constant size whatever the graph's. A block's
+# gathered node-major BFS words stay in cache at 2**9 rows: a full pull of
+# the criterion-5 graph took 2.5 ms at 2**9 rows and 4.2 ms at 2**11 (best
+# of 20, 2 shared cores).
+_BLOCK = 2**9
 # The G(n, p) sampler's largest chunk of uniform draws, and the CSR
 # build's block of sort keys.
 _DRAWS = 2**16
@@ -336,6 +339,16 @@ def unique_sorted(values: np.ndarray) -> np.ndarray:
     return values[keep]
 
 
+def _pair_keys(n: int) -> tuple[type, int]:
+    """The dtype and id width of sort keys that pack two node ids below n.
+
+    Up to 2**16 nodes an id fits in 16 bits, so a pair fits in one
+    uint32, whose sort takes under half the time of an int64 one; above,
+    the keys are int64 and an id takes 32 bits.
+    """
+    return (np.uint32, 16) if n <= 2**16 else (np.int64, 32)
+
+
 def _configuration_edges(degrees: np.ndarray,
                          rng: np.random.Generator
                          ) -> tuple[np.ndarray, np.ndarray]:
@@ -345,28 +358,32 @@ def _configuration_edges(degrees: np.ndarray,
     neighbours (int64, length n) and their columns (int32) in CSR order.
     Each pair (lo, hi) is keyed as ``lo * n + hi``; since hi < n, the
     keys sort in (lo, hi) order, and repeats are dropped after the sort.
-    Row r's keys lie below ``(r + 1) * n``, so one search of the sorted
-    keys gives the counts. Each stub-sized temporary is freed after its
-    last use. The stubs are int32, since MAX_STUBS keeps node ids below
-    2**31, and ``Generator.shuffle`` permutes them as it would int64 ids;
-    only the keys are int64.
+    The keys lie below n * n, so they take ``_pair_keys``' dtype: uint32
+    up to 2**16 nodes, int64 above. Row r's keys lie below ``(r + 1) *
+    n``, so one search of the sorted keys for r = 0..n-2, in the key
+    dtype, gives the counts; the last row's run ends with the keys. Each
+    stub-sized temporary is freed after its last use. The stubs are
+    int32, since MAX_STUBS keeps node ids below 2**31, and
+    ``Generator.shuffle`` permutes them as it would int64 ids; node ids
+    are non-negative, so casting them to uint32 keeps them.
     """
     n = len(degrees)
+    dtype, _ = _pair_keys(n)
     stubs = np.repeat(np.arange(n, dtype=np.int32), degrees)
     rng.shuffle(stubs)
     keep = stubs[0::2] != stubs[1::2]
     a, b = stubs[0::2][keep], stubs[1::2][keep]
     del stubs, keep
-    keys = np.minimum(a, b, dtype=np.int64)
+    keys = np.minimum(a, b, dtype=dtype, casting="unsafe")
     np.maximum(a, b, out=a)
     del b
     keys *= n
-    keys += a
+    np.add(keys, a, out=keys, casting="unsafe")
     del a
     keys.sort()
     keys = unique_sorted(keys)
-    counts = np.diff(np.searchsorted(keys, np.arange(1, n + 1) * n),
-                     prepend=0)
+    counts = np.diff(np.searchsorted(keys, np.arange(1, n, dtype=dtype) * n),
+                     prepend=0, append=len(keys))
     np.remainder(keys, n, out=keys)
     return counts, keys.astype(np.int32)
 
@@ -383,18 +400,23 @@ def _symmetric_csr(counts: np.ndarray, cols: np.ndarray,
     increase, as in the tests' oracle, scipy's CSR of the symmetric
     matrix, entry for entry and in int32.
     Read in order, the lower blocks are the rows sorted by column: one
-    sort of the keys ``cols << 32 | rows``, whose int32 cast is the row.
-    The keys start as the rows, from the counts, and take their columns
-    one ``_DRAWS`` block at a time. The upper blocks are ``cols`` as
-    given, so a mask of the lower slots places both without an index
-    array. MAX_STUBS keeps node ids and entry counts far below 2**31.
+    sort of the keys ``cols << width | rows``, in ``_pair_keys``' dtype
+    and width (uint32 and 16 bits up to 2**16 nodes, int64 and 32
+    above), whose low ``width`` bits are the row. The keys start as the
+    rows, from the counts, and take their columns one ``_DRAWS`` block at
+    a time; after the sort they are masked to the rows in place. The
+    upper blocks are ``cols`` as given, so a mask of the lower slots
+    places both without an index array. MAX_STUBS keeps node ids and
+    entry counts far below 2**31.
     """
+    dtype, width = _pair_keys(n)
     lower_counts = np.bincount(cols, minlength=n)
-    keys = np.repeat(np.arange(n, dtype=np.int64), counts)
+    keys = np.repeat(np.arange(n, dtype=dtype), counts)
     for first in range(0, len(cols), _DRAWS):
         keys[first:first + _DRAWS] |= (
-            cols[first:first + _DRAWS].astype(np.int64) << 32)
+            cols[first:first + _DRAWS].astype(dtype) << width)
     keys.sort()
+    keys &= 2**width - 1
     lower = np.repeat(np.tile([True, False], n),
                       np.stack([lower_counts, counts], axis=1).ravel())
     indices = np.empty(2 * len(cols), dtype=np.int32)
@@ -471,32 +493,40 @@ def sample_graph(dist: DegreeDistribution, n_total: int, seed: int) -> SampledGr
 
 def _reduce_segments(ufunc: np.ufunc, values: np.ndarray, edges: np.ndarray,
                      segments: np.ndarray) -> np.ndarray:
-    """``ufunc`` over ``values.take(edges)`` from each segment start to
-    the next, for each row of ``values`` (one row per word). ``edges``
-    are intp, since ``take()`` indexes 9x slower with int32."""
-    return np.stack([ufunc.reduceat(word.take(edges), segments)
-                     for word in values])
+    """``ufunc`` over the rows ``values.take(edges, axis=0)`` from each
+    segment start to the next.
+
+    ``values`` is node-major and C-contiguous: one row per node, one
+    column per word. Each row is gathered as one ``np.void`` item, a
+    single copy instead of one gather per word, and the gathered rows
+    are reduced along axis 0. ``edges`` are intp, since ``take()``
+    indexes 9x slower with int32.
+    """
+    items = values.view(np.dtype((np.void, values.shape[1] * values.itemsize)))
+    gathered = items.take(edges, axis=0).view(values.dtype)
+    return ufunc.reduceat(gathered, segments, axis=0)
 
 
 def _reduce_rows(ufunc: np.ufunc, values: np.ndarray,
                  graph: SampledGraph) -> tuple[np.ndarray, np.ndarray]:
     """``_reduce_segments`` over every non-empty row's neighbours.
 
-    Returns the non-empty rows and one result column per row, since
-    ``reduceat`` gives an empty row a stray element. The entries are read
-    ``_BLOCK`` rows at a time, each block's indices converted to intp, so
-    no temporary grows with the edge count.
+    ``values`` is node-major, one row per node. Returns the non-empty
+    rows and one result row for each, since ``reduceat`` gives an empty
+    row a stray element. The entries are read ``_BLOCK`` rows at a time,
+    each block's indices converted to intp, so no temporary grows with
+    the edge count.
     """
     indptr = graph.indptr
     rows = np.flatnonzero(np.diff(indptr))
-    out = np.empty((len(values), len(rows)), dtype=values.dtype)
+    out = np.empty((len(rows), values.shape[1]), dtype=values.dtype)
     for first in range(0, len(rows), _BLOCK):
         segments = indptr[rows[first:first + _BLOCK]]
         last = first + len(segments)
         edges = graph.indices[segments[0]:indptr[rows[last - 1] + 1]]
-        out[:, first:last] = _reduce_segments(ufunc, values,
-                                              edges.astype(np.intp),
-                                              segments - segments[0])
+        out[first:last] = _reduce_segments(ufunc, values,
+                                           edges.astype(np.intp),
+                                           segments - segments[0])
     return rows, out
 
 
@@ -523,7 +553,8 @@ def _components(graph: SampledGraph) -> np.ndarray:
     # int32 pointers halve the gathers.
     parent = np.arange(n, dtype=np.int32 if n <= 2**31 else np.intp)
     while True:
-        rows, (low,) = _reduce_rows(np.minimum, parent[None], graph)
+        rows, low = _reduce_rows(np.minimum, parent[:, None], graph)
+        low = low[:, 0]
         new = parent.copy()
         np.minimum.at(new, parent.take(rows), low)
         new[rows] = np.minimum(new.take(rows), low)
@@ -544,9 +575,10 @@ def _bfs_distance_sums(graph: SampledGraph, sources: np.ndarray,
 
     Bit-parallel multi-source BFS (Then et al., VLDB 2014): each chunk of
     up to 256 sources gets one bit per source in 4 uint64 words per node,
-    and one level expands every source at once. ``labels`` must give all
-    the nodes of a component one label; other components may share it,
-    as they do under the all-zero guess of one component. A node *lacks*
+    held node-major (one row of words per node), and one level expands
+    every source at once. ``labels`` must give all the nodes of a
+    component one label; other components may share it, as they do
+    under the all-zero guess of one component. A node *lacks*
     the bits of the sources of its label that have not reached it yet,
     and each source counts the nodes of its label it has not reached. The
     chunk stops when every count is 0, or when a level reaches nothing
@@ -581,18 +613,19 @@ def _bfs_distance_sums(graph: SampledGraph, sources: np.ndarray,
         batch = sources[first:first + chunk]
         bits = np.arange(len(batch))
         word, bit = bits // 64, np.uint64(1) << (bits % 64).astype(np.uint64)
-        # Each source's bit at its own node: one row per word, one column
-        # per node. .at, not |=: a source listed twice in one word sets
+        # Each source's bit at its own node: one row per node, one column
+        # per word. .at, not |=: a source listed twice in one word sets
         # two bits.
-        own = np.zeros((word[-1] + 1, n), dtype="<u8")
-        np.bitwise_or.at(own, (word, batch), bit)
-        wanted = np.zeros((len(own), len(sizes)), dtype="<u8")
-        np.bitwise_or.at(wanted, (word, labels[batch]), bit)
-        lacking = wanted.take(labels, axis=1) & ~own
+        own = np.zeros((n, word[-1] + 1), dtype="<u8")
+        np.bitwise_or.at(own, (batch, word), bit)
+        wanted = np.zeros((len(sizes), own.shape[1]), dtype="<u8")
+        np.bitwise_or.at(wanted, (labels[batch], word), bit)
+        lacking = wanted.take(labels, axis=0)
+        lacking &= ~own
         unreached = sizes.take(labels[batch]) - 1
         needy = np.flatnonzero(_any_bit(lacking))
         front_nodes = np.flatnonzero(_any_bit(own))
-        front = own.take(front_nodes, axis=1)
+        front = own.take(front_nodes, axis=0)
         while unreached.any():
             if not len(front_nodes):
                 return None
@@ -607,8 +640,7 @@ def _bfs_distance_sums(graph: SampledGraph, sources: np.ndarray,
                 new = _reduce_segments(np.bitwise_or, front, edges, segments)
             else:
                 words = np.zeros_like(own)
-                for row, f in zip(words, front):
-                    row[front_nodes] = f
+                words[front_nodes] = front
                 if restricted_cost >= len(indices):
                     new_nodes, new = _reduce_rows(np.bitwise_or, words,
                                                   graph)
@@ -617,14 +649,13 @@ def _bfs_distance_sums(graph: SampledGraph, sources: np.ndarray,
                     edges, segments = _row_entries(graph, needy, lengths)
                     new = _reduce_segments(np.bitwise_or, words, edges,
                                            segments)
-            new &= lacking.take(new_nodes, axis=1)
+            new &= lacking.take(new_nodes, axis=0)
             keep = _any_bit(new) != 0
-            front_nodes, front = new_nodes[keep], new.compress(keep, axis=1)
-            for row, f in zip(lacking, front):
-                row[front_nodes] &= ~f
+            front_nodes, front = new_nodes[keep], new.compress(keep, axis=0)
+            lacking[front_nodes] &= ~front
             needy = np.flatnonzero(_any_bit(lacking))
             if len(needy) < len(front_nodes):
-                unreached = _bit_counts(lacking.take(needy, axis=1))
+                unreached = _bit_counts(lacking.take(needy, axis=0))
                 unreached = unreached[:len(batch)]
             else:
                 unreached -= _bit_counts(front)[:len(batch)]
@@ -663,21 +694,22 @@ def _push_edges(graph: SampledGraph, front_nodes: np.ndarray,
 
 
 def _any_bit(words: np.ndarray) -> np.ndarray:
-    """OR over the word rows: nonzero for each node with any bit set."""
-    return functools.reduce(np.bitwise_or, words)
+    """OR over the word columns: nonzero for each node with any bit set."""
+    return functools.reduce(np.bitwise_or, words.T)
 
 
 def _bit_counts(words: np.ndarray) -> np.ndarray:
     """Number of nodes with each bit set; bit i of word j counts at 64j + i.
 
-    The bits of ``_BLOCK`` nodes at a time are unpacked one row per node
-    and summed 255 nodes at a time as uint64 words, whose eight byte
-    lanes then each hold a count below 256: an eighth of the additions of
-    a bytewise sum.
+    ``words`` is node-major and C-contiguous, so each block of
+    ``_BLOCK`` nodes is already one row of bytes per node and unpacks
+    with no copy. The bits are summed 255 nodes at a time as uint64
+    words, whose eight byte lanes then each hold a count below 256: an
+    eighth of the additions of a bytewise sum.
     """
-    counts = np.zeros(64 * len(words), dtype=np.int64)
-    for first in range(0, words.shape[1], _BLOCK):
-        block = np.ascontiguousarray(words[:, first:first + _BLOCK].T)
+    counts = np.zeros(64 * words.shape[1], dtype=np.int64)
+    for first in range(0, len(words), _BLOCK):
+        block = words[first:first + _BLOCK]
         unpacked = np.unpackbits(block.view(np.uint8), axis=1,
                                  bitorder="little").view("<u8")
         for part in range(0, len(unpacked), 255):

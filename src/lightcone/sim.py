@@ -537,12 +537,14 @@ def check_sweep_cells(diameters: list[float], seeds: list[int],
                       diameters_name="diameters", seeds_name="seeds") -> None:
     """``pool_sweep``'s input rule: non-empty lists of diameters > 0 and of
     seeds >= 0, no seed repeated (it would count one cell twice). A
-    ValueError names an item as ``diameters_name[i]`` or ``seeds_name[i]``."""
+    ValueError names an empty list as ``diameters_name`` or
+    ``seeds_name``, and an item as ``diameters_name[i]`` or
+    ``seeds_name[i]``."""
     if len(diameters) < 1:
-        raise ValueError("at least one diameter is required")
+        raise ValueError(f"{diameters_name} must hold at least one diameter")
     check_each(diameters_name, diameters, gt=0.0)
     if len(seeds) < 1:
-        raise ValueError("at least one seed is required")
+        raise ValueError(f"{seeds_name} must hold at least one seed")
     for i, seed in enumerate(seeds):
         check_integer(f"{seeds_name}[{i}]", seed, ge=0)
         if seed in seeds[:i]:

@@ -467,6 +467,17 @@ def test_repeated_sweep_seed_is_clean_input_error(tmp_path: Path):
     assert result.stderr == "error: sweep.seeds[1] repeats sweep.seeds[0]\n"
 
 
+def test_empty_sweep_seeds_is_clean_input_error(tmp_path: Path):
+    payload = json.loads(json.dumps(SIM_CONFIG))
+    payload["sweep"]["seeds"] = []
+    config_path = tmp_path / "sim.json"
+    config_path.write_text(json.dumps(payload))
+    result = run_cli("sweep", "--config", str(config_path))
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr == "error: sweep.seeds must hold at least one seed\n"
+
+
 @pytest.mark.parametrize("args", [
     ("area", "--degrees", "inf"),
     ("area", "--degrees", "2.7"),
